@@ -22,17 +22,24 @@
 //! * `serve_saturated` — one pipelined connection keeping 48 sessions
 //!   in flight (more than a full 256-row batch always queued) while a
 //!   second thread scrapes `/metrics` once a second. Kernels, allocation
-//!   and protocol costs dominate.
+//!   and protocol costs dominate. Every figure it sets is CPU speed, so
+//!   it is run by hand rather than listed in `BENCHMARK.json`.
 //! * `online_refit` — the `OnlineLoop` refits on the seeded drift
 //!   stream and `RELOAD`s the server every period while the low-load
 //!   traffic runs beside it.
 //!
-//! Every end-to-end metric is reported on every workload: the serving
-//! workloads measure the refit metrics in a refit phase after their
-//! timed traffic, with no traffic running. Latency and throughput come
-//! from the half of the run's one-second windows with the least host
-//! CPU steal (see `quiet_latency`); the p99 and the training rate are
-//! printed but not gated.
+//! The result line carries the end-to-end metrics that hold still on a
+//! shared host: open-loop latency p50 (set by the batcher's flush
+//! deadline), served rows per second, the server's peak RSS, the
+//! refreshed generations' next-window AUC, and the set-up time. The
+//! figures that are pure CPU speed (saturated throughput and latency,
+//! server CPU per row, refit period, reload round trip, training rate,
+//! p99) are printed as `perfbench:` lines on every run but kept out of
+//! the result: they follow the host's CPU speed, which moved ~1.5x
+//! between minutes on a shared 2-vCPU VM (see [`GATED_WHY`]). The
+//! per-layer run carries their layer-level causes. The serving
+//! workloads run the refits after their timed traffic, with no traffic
+//! running, for the AUC guard and the printed refit figures.
 //!
 //! Correctness (any failure prints `"correct": false` and exits 1):
 //! sampled served scores are bit-identical to an in-process
@@ -83,14 +90,12 @@ const LOW_LOAD_RATE: f64 = 200.0;
 const SATURATED_WINDOW: usize = 48;
 const SETUP_REPEATS: usize = 3;
 const WARM_UP: Duration = Duration::from_millis(500);
-/// Refit periods the serving workloads run after their traffic: twice
-/// the quality generations, so the refit medians rest on 16 samples.
-const SERVE_REFIT_PERIODS: usize = 2 * refit::QUALITY_GENERATIONS;
+/// Why only some end-to-end figures go into the result line.
+const GATED_WHY: &str = "kept out of the result (pure CPU speed: on a shared 2-vCPU VM a fixed compute loop's fastest 0.5 ms run moved from 473 to 340 us and saturated throughput from 350k to 620k rows/s between minutes)";
 /// Every n-th reply's scores are checked bit for bit.
 const CHECK_EVERY: usize = 16;
 const WORK_DIR: &str = ".perfbench";
-/// Slice of a timed phase that is kept or dropped as a whole by the
-/// steal filter (see `quiet_latency`).
+/// Slice of a timed phase in the per-second report.
 const WINDOW: Duration = Duration::from_secs(1);
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -372,42 +377,31 @@ fn timed_phase(
     })
 }
 
-/// Latency p50 and p99 (ms) and throughput (rows/s) of one timed
-/// phase, from the quieter half of its one-second windows ranked by
-/// host CPU steal: on a shared 2-vCPU VM the hypervisor took 1-30% of
-/// the CPU in bursts, and those bursts, not the program, otherwise set
-/// the saturated throughput.
-fn quiet_latency(p: &Phase) -> (f64, f64, f64) {
-    let mut windows = traffic::windows(&p.traffic, WINDOW, &p.steal_samples);
-    windows.sort_by(|a, b| a.steal.total_cmp(&b.steal));
-    windows.truncate(windows.len().div_ceil(2));
-    let latency: Vec<f64> = windows
-        .iter()
-        .flat_map(|w| w.latency_us.iter().copied())
-        .collect();
-    let rows: usize = windows.iter().map(|w| w.rows).sum();
-    (
-        quantile(&latency, 0.5) / 1e3,
-        quantile(&latency, 0.99) / 1e3,
-        rows as f64 / (windows.len() as f64 * WINDOW.as_secs_f64()),
-    )
-}
-
-/// The end-to-end metrics of one timed phase (refit metrics aside).
+/// The serving metrics of one timed phase, over every timed request:
+/// latency p50, throughput and peak RSS (in the result line), then
+/// latency p99 and server CPU per row (printed only).
 fn serving_metrics(p: &Phase) -> Vec<Metric> {
-    let (p50, _, throughput) = quiet_latency(p);
+    let latency = &p.traffic.latency_us;
     let served_rows = (p.after.rows - p.before.rows).max(1);
     vec![
-        metric("latency_p50_ms", p50, "ms"),
-        metric("throughput_rows_per_s", throughput, "rows/s"),
+        metric("latency_p50_ms", quantile(latency, 0.5) / 1e3, "ms"),
+        metric(
+            "throughput_rows_per_s",
+            p.traffic.rows as f64 / p.traffic.elapsed.as_secs_f64(),
+            "rows/s",
+        ),
+        metric("server_peak_rss_mb", p.peak_rss_mb, "MiB"),
+        metric("latency_p99_ms", quantile(latency, 0.99) / 1e3, "ms"),
         metric(
             "server_cpu_us_per_row",
             p.server_cpu_s * 1e6 / served_rows as f64,
             "us",
         ),
-        metric("server_peak_rss_mb", p.peak_rss_mb, "MiB"),
     ]
 }
+
+/// How many of [`serving_metrics`] go into the result line.
+const GATED_SERVING: usize = 3;
 
 fn run(args: &Args) -> Result<bool, String> {
     let out_dir = PathBuf::from(WORK_DIR);
@@ -470,7 +464,7 @@ fn run(args: &Args) -> Result<bool, String> {
             let r = refit::run(
                 &mut lp,
                 Some(&mut admin),
-                SERVE_REFIT_PERIODS,
+                refit::QUALITY_GENERATIONS,
                 Instant::now(),
                 &probe,
                 check,
@@ -529,26 +523,31 @@ fn run(args: &Args) -> Result<bool, String> {
         ));
     }
 
-    let refit_metrics = vec![
+    let mut serving = serving_metrics(base);
+    let mut cpu_bound = serving.split_off(GATED_SERVING);
+    cpu_bound.extend([
         metric("refit_cycle_ms", median(&refits.cycle_ms), "ms"),
         metric("reload_ms", median(&refits.reload_ms), "ms"),
-        metric("next_window_auc", fresh_auc, "auc"),
-    ];
+        metric(
+            "train_rows_per_s",
+            median(&refits.train_rows_per_s),
+            "rows/s",
+        ),
+    ]);
     let mut end_to_end = vec![metric("setup_s", median(&setup_s), "s")];
-    end_to_end.extend(serving_metrics(base));
-    end_to_end.extend(refit_metrics);
-    // Printed, not gated: on a shared 2-vCPU VM the p99 moved 45-63%
-    // between runs of the same code (host stalls of 5-30 ms hit ~1% of
-    // requests), and training speed swung ~25% with the host's CPU
-    // speed, while `refit_cycle_ms` already carries the fit.
+    end_to_end.extend(serving);
+    end_to_end.push(metric("next_window_auc", fresh_auc, "auc"));
     report(format!(
-        "latency_p99_ms {} ms (quiet half of the windows, like latency_p50_ms); train_rows_per_s {} rows/s",
-        quiet_latency(base).1,
-        median(&refits.train_rows_per_s)
+        "{}: {GATED_WHY}",
+        cpu_bound
+            .iter()
+            .map(|m| format!("{} {} {}", m.name, m.value, m.unit))
+            .collect::<Vec<_>>()
+            .join(", ")
     ));
     let lat = &base.traffic.latency_us;
     report(format!(
-        "unfiltered latency percentiles (ms): p50 {:.3} p90 {:.3} p95 {:.3} p99 {:.3} p99.9 {:.3} max {:.3}",
+        "latency percentiles (ms): p50 {:.3} p90 {:.3} p95 {:.3} p99 {:.3} p99.9 {:.3} max {:.3}",
         quantile(lat, 0.5) / 1e3,
         quantile(lat, 0.9) / 1e3,
         quantile(lat, 0.95) / 1e3,
@@ -567,12 +566,11 @@ fn run(args: &Args) -> Result<bool, String> {
     ));
     let all = windows.iter().map(|w| w.steal).sum::<f64>() / windows.len().max(1) as f64;
     report(format!(
-        "{} latency samples, {} refit periods, set-up runs {:?} s, host CPU steal {:.1}% over the timed traffic, unfiltered throughput {:.0} rows/s",
+        "{} latency samples, {} refit periods, set-up runs {:?} s, host CPU steal {:.1}% over the timed traffic",
         base.traffic.latency_us.len(),
         refits.cycle_ms.len(),
         setup_s,
-        100.0 * all,
-        base.traffic.rows as f64 / base.traffic.elapsed.as_secs_f64()
+        100.0 * all
     ));
     for m in &end_to_end {
         report(format!("{} {} {}", m.name, m.value, m.unit));

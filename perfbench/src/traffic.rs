@@ -353,8 +353,7 @@ fn pipelined(
 
 /// One fixed slice of a timed phase.
 pub struct Window {
-    /// Latencies of the requests that completed in it, µs.
-    pub latency_us: Vec<f64>,
+    /// Rows of the requests that completed in it.
     pub rows: usize,
     /// Share of host CPU time the hypervisor stole meanwhile.
     pub steal: f64,
@@ -382,17 +381,15 @@ pub fn windows(t: &TrafficReport, window: Duration, steal: &[(Instant, u64, u64)
             let (s0, t0) = edge(start + window * w as u32);
             let (s1, t1) = edge(start + window * (w as u32 + 1));
             Window {
-                latency_us: Vec::new(),
                 rows: 0,
                 steal: s1.saturating_sub(s0) as f64 / t1.saturating_sub(t0).max(1) as f64,
             }
         })
         .collect();
-    for (&lat, &(done, rows)) in t.latency_us.iter().zip(&t.completions) {
+    for &(done, rows) in &t.completions {
         let w =
             (done.saturating_duration_since(start).as_secs_f64() / window.as_secs_f64()) as usize;
         if let Some(win) = out.get_mut(w) {
-            win.latency_us.push(lat);
             win.rows += rows;
         }
     }
