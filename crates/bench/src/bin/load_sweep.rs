@@ -14,7 +14,7 @@
 //!    closed-loop clients run; every in-flight request must succeed;
 //! 4. **sharded sweep** — an open-loop pass against a server per
 //!    shard count (1/2/4 batcher shards), reporting throughput and
-//!    p99 vs shard count and cross-checking the v3 per-shard batcher
+//!    p99 vs shard count and cross-checking the per-shard batcher
 //!    counters against the aggregate snapshot;
 //! 5. **scrape-under-load** — a server with the HTTP observability
 //!    listener enabled takes identical open-loop passes with and
@@ -25,7 +25,7 @@
 //!    contract);
 //! 6. **overload burst** — a second server with a tiny queue and a
 //!    throttled batcher takes a burst that must shed load with
-//!    `OVERLOADED` replies;
+//!    overload replies;
 //! 7. **quantized serving** — a server with `quantized: true` scores
 //!    the probe rows; TCP-returned scores must stay within the
 //!    documented tolerance of a local f32 oracle on identical weights
@@ -99,7 +99,7 @@ struct StageResult {
 }
 
 /// Runs `clients` closed-loop threads, each sending `requests`
-/// score calls of `rows_per_req` rows. `OVERLOADED` replies are
+/// score calls of `rows_per_req` rows. Overload replies are
 /// counted and retried-as-skipped; any other failure aborts.
 fn closed_loop(
     addr: std::net::SocketAddr,
@@ -336,7 +336,7 @@ fn main() {
     report("open", 2, rows_per_req, 1, &result);
 
     // Reload under load: swap checkpoints while closed-loop clients
-    // hammer the server. closed_loop() aborts on any non-OVERLOADED
+    // hammer the server. closed_loop() aborts on any non-overload
     // error, so surviving this stage is the zero-failures check.
     {
         let reloader = {
@@ -379,7 +379,7 @@ fn main() {
     // Sharded sweep: the same deterministic model served with 1/2/4
     // batcher shards under an identical open-loop arrival schedule, so
     // the reported throughput/p99 differences are attributable to the
-    // shard count alone. The v3 per-shard counters must account for
+    // shard count alone. The per-shard counters must account for
     // every batch and show work on every shard.
     for shards in [1usize, 2, 4] {
         let (model, _) = build_model(&dataset, if smoke { 6 } else { 20 });
@@ -403,7 +403,7 @@ fn main() {
             .stats_report()
             .unwrap_or_else(|e| fail(&format!("sharded stats: {e}")));
         let shard_stats =
-            shard_stats.unwrap_or_else(|| fail("v3 stats reply is missing the shard block"));
+            shard_stats.unwrap_or_else(|| fail("stats reply is missing the shard block"));
         if shard_stats.len() != shards {
             fail(&format!(
                 "expected {shards} shard stat entries, got {}",
@@ -570,7 +570,7 @@ fn main() {
     }
 
     // Overload burst: tiny queue + throttled batcher guarantees the
-    // queue fills; the burst must see OVERLOADED, not errors or hangs.
+    // queue fills; the burst must see overload replies, not errors or hangs.
     {
         let (model, _) = build_model(&dataset, 2);
         let over_server = Server::start(
@@ -599,7 +599,7 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("overload shutdown: {e}")));
         over_server.join();
         if result.overloaded == 0 || stats.overloaded == 0 {
-            fail("overload burst produced no OVERLOADED replies");
+            fail("overload burst produced no overload replies");
         }
         println!(
             "load_sweep[overload] server counted {} overloaded / {} requests",

@@ -17,7 +17,7 @@
 //! and, per refit, the serving disruption of deploying it: closed-loop
 //! clients hammer the server while the new generation is `RELOAD`ed,
 //! and latencies are bucketed into before / during / after the swap.
-//! Every admitted request must be answered — a non-`OVERLOADED`
+//! Every admitted request must be answered — a non-overload
 //! failure anywhere aborts the bench.
 //!
 //! Output: one human line plus a JSONL record per window
@@ -256,7 +256,7 @@ fn main() {
 
         // A refit landed this tick: deploy it under load and price the
         // swap. The hammer runs before, across, and after the RELOAD;
-        // any non-OVERLOADED failure aborts inside the hammer thread.
+        // any non-overload failure aborts inside the hammer thread.
         if let Some(refit) = &report.refit {
             let hammer = Hammer::start(addr, Arc::clone(&pool), hammer_clients);
             std::thread::sleep(Duration::from_millis(if smoke { 60 } else { 120 }));

@@ -71,9 +71,6 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("server start: {e}")));
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    if client.negotiated_version() < 2 {
-        fail("client+server must negotiate protocol v2");
-    }
 
     let rows = feature_rows(&d, 8);
     // Server-sampled requests plus explicit client trace ids.
@@ -98,11 +95,11 @@ fn main() {
     check_stage_chain(&dump, CLIENT_TRACE_ID);
 
     // Windowed quantiles must be live on the same connection.
-    let (snapshot, window) = client
-        .stats_full()
+    let (snapshot, window, _) = client
+        .stats_report()
         .unwrap_or_else(|e| fail(&format!("stats: {e}")));
     let Some(window) = window else {
-        fail("v2 STATS reply carried no windowed block");
+        fail("STATS reply carried no windowed block");
     };
     if snapshot.ok < 7 || window.request_latency_us.count == 0 {
         fail(&format!(

@@ -15,7 +15,7 @@
 //!     into `--export-dir`, and pushes RELOAD. Each tick also probes
 //!     the server with `--probe-rows` rows from the fresh window.
 //!
-//!     Exits non-zero if any probe or reload *failed* (OVERLOADED
+//!     Exits non-zero if any probe or reload *failed* (overload
 //!     shedding is tolerated and counted separately), or if fewer
 //!     than `--min-reloads` reloads succeeded. `--offline` runs the
 //!     loop without a server (exports only; `--addr` unused).

@@ -128,7 +128,7 @@ pub struct TickReport {
     pub probe_rows: usize,
     /// Probe round-trip in microseconds (0 when no probe ran).
     pub probe_us: u64,
-    /// Probes the server shed with `OVERLOADED` this tick.
+    /// Probes the server shed as overloaded this tick.
     pub overloaded: u64,
     /// The refit, on refit-boundary ticks.
     pub refit: Option<RefitReport>,
@@ -145,7 +145,7 @@ pub struct LoopStats {
     pub reloads: u64,
     /// Probe requests answered with scores.
     pub probes_ok: u64,
-    /// Probe requests shed with `OVERLOADED` (admission control, not
+    /// Probe requests shed as overloaded (admission control, not
     /// a failure: the client is told to back off and nothing is lost).
     pub probes_overloaded: u64,
     /// Probe or reload requests that *failed* — an accepted request
@@ -292,8 +292,9 @@ impl OnlineLoop {
     }
 
     /// Scores a slice of the fresh window against the live server.
-    /// `OVERLOADED` is counted but tolerated; any other failure is
-    /// fatal to the loop (the availability contract is broken).
+    /// [`ServeError::Overloaded`] is counted but tolerated; any other
+    /// failure is fatal to the loop (the availability contract is
+    /// broken).
     fn probe(&mut self, window: &SessionWindow) -> Result<(usize, u64, u64), String> {
         let Some(client) = self.client.as_mut() else {
             return Ok((0, 0, 0));

@@ -8,9 +8,8 @@
 //! opened. The collected requests are coalesced with
 //! [`amoe_dataset::Batch::concat`] into **one**
 //! `ServingMoe::predict_many_with_stats` call, and the score vector is
-//! scattered back to each request's reply lane (the per-connection
-//! writer thread on pipelined connections, a per-request channel on
-//! v≤2 ones).
+//! scattered back to each request's reply lane: the writer thread of
+//! the connection that submitted it.
 //!
 //! # Determinism contract
 //!
@@ -43,9 +42,9 @@ pub(crate) struct Pending {
     /// Request trace id (`0` = untraced).
     pub trace_id: u64,
     /// The reply lane this request's completion goes down. Holding a
-    /// sender is also the drain guarantee on pipelined connections:
-    /// the writer thread cannot exit before every admitted request has
-    /// been answered or dropped.
+    /// sender is also the per-connection drain guarantee: the writer
+    /// thread cannot exit before every admitted request has been
+    /// answered or dropped.
     pub reply: mpsc::Sender<WriterMsg>,
     /// Admission time, for queue-wait accounting.
     pub enqueued: Instant,

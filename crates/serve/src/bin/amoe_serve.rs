@@ -236,23 +236,20 @@ fn print_stats(s: &StatsSnapshot, w: Option<&WindowedStats>, shards: Option<&[Sh
         "requests={} rows={} ok={} overloaded={} errors={} batches={} reloads={} queue_depth={}",
         s.requests, s.rows, s.ok, s.overloaded, s.errors, s.batches, s.reloads, s.queue_depth
     );
-    match w {
-        None => println!("(v1 server: no windowed quantiles)"),
-        Some(w) => {
-            println!("window={}s", w.window_secs);
-            let stages: [(&str, &QuantileSummary); 5] = [
-                ("latency_us", &w.request_latency_us),
-                ("queue_wait_us", &w.queue_wait_us),
-                ("compute_us", &w.compute_us),
-                ("reply_write_us", &w.reply_write_us),
-                ("queue_depth", &w.queue_depth),
-            ];
-            for (name, q) in stages {
-                println!(
-                    "  {name:<16} n={:<8} p50={:<12.1} p95={:<12.1} p99={:.1}",
-                    q.count, q.p50, q.p95, q.p99
-                );
-            }
+    if let Some(w) = w {
+        println!("window={}s", w.window_secs);
+        let stages: [(&str, &QuantileSummary); 5] = [
+            ("latency_us", &w.request_latency_us),
+            ("queue_wait_us", &w.queue_wait_us),
+            ("compute_us", &w.compute_us),
+            ("reply_write_us", &w.reply_write_us),
+            ("queue_depth", &w.queue_depth),
+        ];
+        for (name, q) in stages {
+            println!(
+                "  {name:<16} n={:<8} p50={:<12.1} p95={:<12.1} p99={:.1}",
+                q.count, q.p50, q.p95, q.p99
+            );
         }
     }
     if let Some(shards) = shards {

@@ -1,14 +1,14 @@
 //! A synchronous client for the amoe-serve protocol, with a pipelined
-//! `submit`/`poll` API on v3 connections.
+//! `submit`/`poll` API.
 //!
-//! The classic calls ([`Client::score`], [`Client::reload`], ...) stay
-//! strictly request/response. On a v3 connection the client may also
-//! keep several scores in flight at once: [`Client::submit`] writes a
-//! `SCORE` without waiting, [`Client::poll`] / [`Client::wait`] read
-//! completions in whatever order the server's batcher shards finish
-//! them, matched back to their request by correlation id. Replies for
-//! ids that were never submitted (or already answered) are protocol
-//! errors — the client never silently trusts reply ordering.
+//! The classic calls ([`Client::score`], [`Client::reload`], ...)
+//! block for their reply. The client may also keep several scores in
+//! flight at once: [`Client::submit`] writes a `SCORE` without
+//! waiting, [`Client::poll`] / [`Client::wait`] read completions in
+//! whatever order the server's batcher shards finish them, matched
+//! back to their request by correlation id. Replies for ids that were
+//! never submitted (or already answered) are protocol errors — the
+//! client never silently trusts reply ordering.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -30,7 +30,9 @@ pub enum ServeError {
     /// The server answered with an error message (validation, bad
     /// checkpoint, shutdown in progress, ...).
     Server(String),
-    /// The peer violated the wire protocol.
+    /// The peer violated the wire protocol, or the caller asked for a
+    /// request the protocol cannot carry (no rows, ragged numeric
+    /// widths, a zero explicit trace id).
     Protocol(String),
 }
 
@@ -68,7 +70,6 @@ pub struct Completion {
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
-    version: u32,
     /// Submitted but not yet completed request ids → expected row
     /// count.
     outstanding: HashMap<u64, usize>,
@@ -78,30 +79,27 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects and negotiates the protocol version: the client offers
-    /// its newest, the server answers with `min(client, server)`, so
-    /// either side may lag the other.
+    /// Connects and exchanges hellos. A server speaking any protocol
+    /// version other than [`protocol::VERSION`] is refused with
+    /// [`ServeError::Protocol`] (it closes its end too).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServeError> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         protocol::write_hello(&mut stream, protocol::VERSION)?;
         let answered =
             protocol::read_hello(&mut stream).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        let version =
-            protocol::negotiate(answered).map_err(|e| ServeError::Protocol(e.to_string()))?;
+        if answered != protocol::VERSION {
+            return Err(ServeError::Protocol(format!(
+                "server speaks protocol v{answered}, this client speaks v{}",
+                protocol::VERSION
+            )));
+        }
         Ok(Client {
             stream,
             next_id: 1,
-            version,
             outstanding: HashMap::new(),
             completed: VecDeque::new(),
         })
-    }
-
-    /// The protocol version agreed at connect time.
-    #[must_use]
-    pub fn negotiated_version(&self) -> u32 {
-        self.version
     }
 
     /// Requests submitted or completed but not yet handed to the
@@ -116,9 +114,9 @@ impl Client {
         Response::decode(&payload).map_err(|e| ServeError::Protocol(e.to_string()))
     }
 
-    /// Writes an admin request and blocks for its reply. On a
-    /// pipelined connection, score completions may arrive first; they
-    /// are stashed for a later [`Client::poll`].
+    /// Writes an admin request and blocks for its reply. Score
+    /// completions may arrive first; they are stashed for a later
+    /// [`Client::poll`].
     fn round_trip(&mut self, request: &Request) -> Result<Response, ServeError> {
         protocol::write_frame(&mut self.stream, &request.encode())?;
         loop {
@@ -190,8 +188,7 @@ impl Client {
 
     /// Submits a score request without waiting for its reply; returns
     /// the correlation id to pass to [`Client::wait`] (or match
-    /// against [`Client::poll`] completions). Requires a v3
-    /// connection — older servers answer strictly in order.
+    /// against [`Client::poll`] completions).
     pub fn submit(&mut self, rows: &[FeatureRow]) -> Result<u64, ServeError> {
         self.submit_inner(rows, 0)
     }
@@ -206,10 +203,19 @@ impl Client {
     }
 
     fn submit_inner(&mut self, rows: &[FeatureRow], trace_id: u64) -> Result<u64, ServeError> {
-        if self.version < 3 {
+        // A SCORE frame carries one numeric width for all its rows, and
+        // the server cannot correlate a frame it fails to decode, so
+        // both shapes are refused here, before an id is spent.
+        let Some(first) = rows.first() else {
+            return Err(ServeError::Protocol(
+                "score request needs at least one row".into(),
+            ));
+        };
+        let width = first.numeric.len();
+        if let Some(i) = rows.iter().position(|r| r.numeric.len() != width) {
             return Err(ServeError::Protocol(format!(
-                "server negotiated protocol v{}: pipelined submit needs v3",
-                self.version
+                "row {i} has {} numeric features, row 0 has {width}",
+                rows[i].numeric.len()
             )));
         }
         let request_id = self.next_id;
@@ -273,67 +279,19 @@ impl Client {
     /// Scores a batch of feature rows; returns one score per row, in
     /// row order.
     pub fn score(&mut self, rows: &[FeatureRow]) -> Result<Vec<f32>, ServeError> {
-        self.score_inner(rows, 0)
+        let request_id = self.submit(rows)?;
+        self.wait(request_id)
     }
 
     /// Like [`Client::score`], but asks the server to trace this
     /// request under `trace_id` (non-zero; bypasses trace sampling).
-    /// Requires a v2 connection — a v1 server cannot carry the id.
     pub fn score_traced(
         &mut self,
         rows: &[FeatureRow],
         trace_id: u64,
     ) -> Result<Vec<f32>, ServeError> {
-        if trace_id == 0 {
-            return Err(ServeError::Protocol("trace_id must be non-zero".into()));
-        }
-        if self.version < 2 {
-            return Err(ServeError::Protocol(
-                "server negotiated protocol v1: trace ids unsupported".into(),
-            ));
-        }
-        self.score_inner(rows, trace_id)
-    }
-
-    fn score_inner(&mut self, rows: &[FeatureRow], trace_id: u64) -> Result<Vec<f32>, ServeError> {
-        if self.version >= 3 {
-            let request_id = self.submit_inner(rows, trace_id)?;
-            return self.wait(request_id);
-        }
-        // v≤2: strict request/response — the reply is for this request
-        // by construction, but the echo is still verified.
-        let request_id = self.next_id;
-        self.next_id += 1;
-        let resp = self.round_trip(&Request::Score {
-            request_id,
-            trace_id,
-            rows: rows.to_vec(),
-        })?;
-        match resp {
-            Response::Scores {
-                request_id: echoed,
-                scores,
-            } => {
-                if echoed != request_id {
-                    return Err(ServeError::Protocol(format!(
-                        "response id {echoed} for request {request_id}"
-                    )));
-                }
-                if scores.len() != rows.len() {
-                    return Err(ServeError::Protocol(format!(
-                        "{} scores for {} rows",
-                        scores.len(),
-                        rows.len()
-                    )));
-                }
-                Ok(scores)
-            }
-            Response::Overloaded => Err(ServeError::Overloaded),
-            Response::Error { message } => Err(ServeError::Server(message)),
-            other => Err(ServeError::Protocol(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
+        let request_id = self.submit_traced(rows, trace_id)?;
+        self.wait(request_id)
     }
 
     /// Asks the server to hot-swap its weights from a checkpoint path
@@ -362,18 +320,16 @@ impl Client {
 
     /// Reads the server's counters.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ServeError> {
-        self.stats_full().map(|(snapshot, _)| snapshot)
+        self.stats_report().map(|(snapshot, _, _)| snapshot)
     }
 
-    /// Reads the server's counters plus, on v2+ connections, the
-    /// sliding-window stage quantiles (`None` from a v1 server).
-    pub fn stats_full(&mut self) -> Result<(StatsSnapshot, Option<WindowedStats>), ServeError> {
-        self.stats_report()
-            .map(|(snapshot, window, _)| (snapshot, window))
-    }
-
-    /// Reads counters, window quantiles and, on v3 connections, the
-    /// per-shard batcher counters (`None` from older servers).
+    /// Reads counters, window quantiles and per-shard batcher counters.
+    ///
+    /// Every `STATS_REPLY` carries all three blocks, so the window and
+    /// shard entries are always `Some`. They stay `Option`s so the
+    /// signature callers already match on (e.g. the `perfbench`
+    /// harness's `Ok((snapshot, Some(window), _))`) keeps compiling
+    /// unchanged.
     #[allow(clippy::type_complexity)]
     pub fn stats_report(
         &mut self,
@@ -390,7 +346,7 @@ impl Client {
                 snapshot,
                 window,
                 shards,
-            } => Ok((snapshot, window.map(|w| *w), shards)),
+            } => Ok((snapshot, Some(*window), Some(shards))),
             Response::Error { message } => Err(ServeError::Server(message)),
             other => Err(ServeError::Protocol(format!(
                 "unexpected response {other:?}"
@@ -399,13 +355,8 @@ impl Client {
     }
 
     /// Fetches the server's trace ring as Chrome trace-event JSON
-    /// (empty document when tracing is off). Requires a v2 connection.
+    /// (empty document when tracing is off).
     pub fn trace_dump(&mut self) -> Result<String, ServeError> {
-        if self.version < 2 {
-            return Err(ServeError::Protocol(
-                "server negotiated protocol v1: TRACE_DUMP unsupported".into(),
-            ));
-        }
         match self.round_trip(&Request::TraceDump)? {
             Response::TraceDump { json } => Ok(json),
             Response::Error { message } => Err(ServeError::Server(message)),
@@ -436,10 +387,10 @@ mod tests {
     }
 
     /// A hand-rolled one-connection server that answers the hello with
-    /// `min(negotiated, cap)` and then hands the connection to `f` —
-    /// for scripting deliberately broken reply sequences.
+    /// `version` and then hands the connection to `f` — for scripting
+    /// deliberately broken reply sequences.
     fn spawn_fake(
-        cap: u32,
+        version: u32,
         f: impl FnOnce(TcpStream) + Send + 'static,
     ) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -447,7 +398,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             let offered = protocol::read_hello(&mut stream).expect("hello");
-            let version = protocol::negotiate(offered).expect("negotiate").min(cap);
+            assert_eq!(offered, protocol::VERSION);
             protocol::write_hello(&mut stream, version).expect("hello reply");
             f(stream);
         });
@@ -469,7 +420,7 @@ mod tests {
 
     #[test]
     fn reply_with_wrong_request_id_is_a_protocol_error() {
-        let (addr, server) = spawn_fake(3, |mut stream| {
+        let (addr, server) = spawn_fake(protocol::VERSION, |mut stream| {
             let _ = read_score_id(&mut stream);
             // Reply to an id the client never submitted.
             write_scores(&mut stream, 999, vec![0.5]);
@@ -485,7 +436,7 @@ mod tests {
 
     #[test]
     fn duplicate_score_reply_is_a_protocol_error() {
-        let (addr, server) = spawn_fake(3, |mut stream| {
+        let (addr, server) = spawn_fake(protocol::VERSION, |mut stream| {
             let first = read_score_id(&mut stream);
             write_scores(&mut stream, first, vec![0.25]);
             let _second = read_score_id(&mut stream);
@@ -505,16 +456,38 @@ mod tests {
     }
 
     #[test]
-    fn submit_requires_a_v3_server() {
-        let (addr, server) = spawn_fake(2, |_stream| {});
+    fn server_of_another_version_is_refused() {
+        for version in [protocol::VERSION - 1, protocol::VERSION + 1] {
+            let (addr, server) = spawn_fake(version, |_stream| {});
+            let err = Client::connect(addr)
+                .err()
+                .expect("a version mismatch must fail the connect");
+            assert!(
+                matches!(&err, ServeError::Protocol(m) if m.contains(&format!("v{version}"))),
+                "unexpected error: {err}"
+            );
+            server.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn unencodable_rows_are_refused_before_any_frame_is_written() {
+        let (addr, server) = spawn_fake(protocol::VERSION, |mut stream| {
+            // The first frame on the wire must be the valid request, and
+            // the refused ones must not have spent an id.
+            let id = read_score_id(&mut stream);
+            assert_eq!(id, 1);
+            write_scores(&mut stream, id, vec![0.75]);
+        });
         let mut client = Client::connect(addr).expect("connect");
-        assert_eq!(client.negotiated_version(), 2);
-        let err = client.submit(&[row()]).expect_err("v2 cannot pipeline");
-        assert!(
-            matches!(&err, ServeError::Protocol(m) if m.contains("needs v3")),
-            "unexpected error: {err}"
-        );
-        assert_eq!(client.in_flight(), 0);
+        let mut wide = row();
+        wide.numeric.push(1.0);
+        for (what, rows) in [("empty", vec![]), ("ragged", vec![row(), wide])] {
+            let err = client.score(&rows).expect_err(what);
+            assert!(matches!(err, ServeError::Protocol(_)), "{what}: {err}");
+            assert_eq!(client.in_flight(), 0, "{what}");
+        }
+        assert_eq!(client.score(&[row()]).expect("valid score"), vec![0.75]);
         server.join().unwrap();
     }
 }

@@ -9,13 +9,16 @@ use std::time::Duration;
 use amoe_core::{GateInput, MoeConfig, TowerConfig};
 use amoe_dataset::DatasetMeta;
 
-/// What to do with a score request when the admission queue is full.
+/// What to do with a score request when its shard's admission queue
+/// is full. Either way a shed request is answered with a
+/// `SCORE_ERROR` carrying its request id and the overload flag
+/// ([`crate::ServeError::Overloaded`] at the client).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverloadPolicy {
-    /// Reply `OVERLOADED` immediately (shed load; the default).
+    /// Shed the request immediately (the default).
     Reject,
-    /// Block the connection thread for up to this long waiting for
-    /// queue space, then reply `OVERLOADED`.
+    /// Block the connection's reader thread for up to this long
+    /// waiting for queue space, then shed the request.
     Block(Duration),
 }
 

@@ -17,18 +17,21 @@
 //!     ╚══════════════ writer thread ◀──ScoreDone (any order)──── ...
 //! ```
 //!
-//! * **Protocol** ([`protocol`]): length-prefixed binary frames over
-//!   TCP; `SCORE`, `RELOAD`, `SHUTDOWN`, `STATS` requests. v3 adds
-//!   pipelining: requests carry correlation ids, a connection may have
-//!   many scores in flight, and replies arrive in completion order.
+//! * **Protocol** ([`protocol`]): one version of length-prefixed
+//!   binary frames over TCP, 11 tags in all; `SCORE`, `RELOAD`,
+//!   `SHUTDOWN`, `STATS`, `TRACE_DUMP` requests. Every connection is
+//!   pipelined: scores carry correlation ids, a connection may have
+//!   many in flight, and replies arrive in completion order. A peer
+//!   offering another version is answered with the server's hello and
+//!   disconnected.
 //! * **Batcher shards** ([`batcher`], [`ServeConfig::shards`]): each
 //!   shard owns a bounded queue and flush loop; requests hash to a
 //!   shard by request id ([`shard_of`]). Concurrently queued requests
 //!   coalesce into one model call per shard (scores stay bit-identical
 //!   at any shard count — every model path is row-independent).
 //! * **Backpressure** ([`queue`], [`ServeConfig::overload`]): a full
-//!   shard queue rejects with `OVERLOADED` (v3: a correlated
-//!   `SCORE_ERROR`), or blocks with a deadline under
+//!   shard queue rejects with a correlated `SCORE_ERROR` flagged as
+//!   overload, or blocks with a deadline under
 //!   [`OverloadPolicy::Block`]. Admission is per shard.
 //! * **Hot-swap** ([`client::Client::reload`]): `RELOAD <path>` builds
 //!   a fresh model from an `AMOE` checkpoint off the serving path and
@@ -43,11 +46,11 @@
 //! Independent of `AMOE_OBS`, the server keeps **always-on
 //! sliding-window stage histograms** (queue wait, compute, reply
 //! write, end-to-end latency, queue depth) reported as p50/p95/p99
-//! through the v2 `STATS` reply (v3 adds per-shard batch/overload
+//! through the `STATS` reply (alongside per-shard batch/overload
 //! counters and queue depths), and supports **request-scoped
 //! tracing** (`AMOE_TRACE=path`, sampled via `AMOE_TRACE_SAMPLE=1/N`)
 //! exportable as Chrome trace-event JSON through `TRACE_DUMP` or at
-//! drain. Protocol v1 peers interoperate via hello negotiation.
+//! drain.
 
 pub mod batcher;
 pub mod client;

@@ -1,39 +1,37 @@
 //! Length-prefixed binary wire protocol.
 //!
-//! A connection opens with a fixed 8-byte hello from each side (magic
-//! `AMSV` + `u32` protocol version): the client offers its version,
-//! the server answers with the **negotiated** version
-//! `min(client, server)`, and both sides speak that dialect for the
-//! rest of the connection. A v1 peer therefore interoperates with a
-//! v2 peer unchanged. After the handshake both sides exchange
-//! *frames*: a little-endian `u32` payload length followed by the
-//! payload. The first payload byte is a tag; the rest is the
-//! tag-specific body. All integers are little-endian, all floats
+//! There is exactly one protocol version, [`VERSION`]. A connection
+//! opens with a fixed 8-byte hello from each side (magic `AMSV` + `u32`
+//! version): the client sends its version, the server always answers
+//! with its own, and a server whose peer offered any other version
+//! closes the connection right after its hello. A peer built against
+//! another version therefore learns the server's version and gets a
+//! clean EOF instead of misparsing frames. After the handshake both
+//! sides exchange *frames*: a little-endian `u32` payload length
+//! followed by the payload. The first payload byte is a tag; the rest
+//! is the tag-specific body. All integers are little-endian, all floats
 //! IEEE-754 `f32`/`f64` LE — the same conventions as the `AMOE`
 //! checkpoint format.
 //!
-//! Requests: `SCORE` (feature rows to rank; the v2 `SCORE_V2` variant
-//! carries a client-chosen trace id), `RELOAD` (checkpoint hot-swap),
-//! `SHUTDOWN` (drain and exit), `STATS` (counters probe),
-//! `TRACE_DUMP` (v2: fetch the server's trace ring as Chrome trace
-//! JSON). Responses: `SCORES`, `OVERLOADED` (admission control
-//! rejected the request), `ERROR` (with message), `OK`, `STATS` (v2
-//! appends sliding-window stage quantiles; v3 appends per-shard
-//! batcher counters after that), `TRACE_DUMP_REPLY`, and
-//! `SCORE_ERROR` (v3: a failed score carrying its request id).
+//! Eleven tags. Requests: `SCORE` (feature rows to rank, with a
+//! client-chosen trace id, `0` = none), `RELOAD` (checkpoint
+//! hot-swap), `SHUTDOWN` (drain and exit), `STATS` (counters probe),
+//! `TRACE_DUMP` (fetch the server's trace ring as Chrome trace JSON).
+//! Responses: `SCORES`, `SCORE_ERROR` (a failed score carrying its
+//! request id and an overload flag), `ERROR` (with message), `OK`,
+//! `STATS_REPLY` (lifetime counters, sliding-window stage quantiles and
+//! per-shard batcher counters) and `TRACE_DUMP_REPLY`. The gaps in
+//! the numbering (`0x05`, `0x82`, `0x86`, `0x88`) are unassigned and
+//! decode as unknown tags.
 //!
-//! Through v2 the protocol is strictly request/response per
-//! connection, so the `request_id` echoed in `SCORES` is a
-//! client-side sanity check. From v3 a connection is **pipelined**: a
-//! client may have any number of `SCORE`s in flight at once, the
-//! server completes them in whatever order its batcher shards finish,
-//! and the `request_id` in `SCORES`/`SCORE_ERROR` is the real
-//! multiplexing key. Score failures on a v3 connection use
-//! `SCORE_ERROR` (instead of the uncorrelatable `OVERLOADED`/`ERROR`)
-//! so they can be matched to their request. Admin requests
-//! (`RELOAD`/`STATS`/`SHUTDOWN`/`TRACE_DUMP`) are still answered in
+//! Connections are **pipelined**: a client may have any number of
+//! `SCORE`s in flight at once, the server completes them in whatever
+//! order its batcher shards finish, and the `request_id` in
+//! `SCORES`/`SCORE_ERROR` is the multiplexing key. Admin requests
+//! (`RELOAD`/`STATS`/`SHUTDOWN`/`TRACE_DUMP`) are answered in
 //! submission order, though score completions may interleave ahead of
-//! their replies.
+//! their replies. `ERROR` answers a frame that did not decode (no
+//! request id to correlate) or a failed admin request.
 
 use std::io::{self, Read, Write};
 
@@ -41,11 +39,9 @@ use amoe_obs::registry::Histogram;
 
 /// Handshake magic: "AMSV" (AMoe SerVe).
 pub const MAGIC: [u8; 4] = *b"AMSV";
-/// Highest wire protocol version this build speaks.
-pub const VERSION: u32 = 3;
-/// Lowest version still accepted (v1 peers predate trace ids and
-/// windowed stats).
-pub const MIN_VERSION: u32 = 1;
+/// The one wire protocol version this build speaks. Peers offering
+/// any other version are refused at the hello.
+pub const VERSION: u32 = 4;
 /// Upper bound on a frame payload; larger lengths are treated as
 /// protocol corruption rather than allocated.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
@@ -58,30 +54,20 @@ pub const TAG_RELOAD: u8 = 0x02;
 pub const TAG_SHUTDOWN: u8 = 0x03;
 /// See [`TAG_SCORE`].
 pub const TAG_STATS: u8 = 0x04;
-/// v2: `SCORE` carrying a client-chosen trace id (see [`TAG_SCORE`]).
-pub const TAG_SCORE_V2: u8 = 0x05;
-/// v2: fetch the trace ring as Chrome trace JSON (see [`TAG_SCORE`]).
+/// See [`TAG_SCORE`].
 pub const TAG_TRACE_DUMP: u8 = 0x06;
 
 /// Response tags.
 pub const TAG_SCORES: u8 = 0x81;
-/// See [`TAG_SCORES`].
-pub const TAG_OVERLOADED: u8 = 0x82;
 /// See [`TAG_SCORES`].
 pub const TAG_ERROR: u8 = 0x83;
 /// See [`TAG_SCORES`].
 pub const TAG_OK: u8 = 0x84;
 /// See [`TAG_SCORES`].
 pub const TAG_STATS_REPLY: u8 = 0x85;
-/// v2: `STATS_REPLY` plus sliding-window quantiles (see
-/// [`TAG_SCORES`]).
-pub const TAG_STATS_REPLY_V2: u8 = 0x86;
-/// v2: Chrome trace JSON body (see [`TAG_SCORES`]).
+/// See [`TAG_SCORES`].
 pub const TAG_TRACE_DUMP_REPLY: u8 = 0x87;
-/// v3: `STATS_REPLY_V2` plus per-shard batcher counters (see
-/// [`TAG_SCORES`]).
-pub const TAG_STATS_REPLY_V3: u8 = 0x88;
-/// v3: a score request failed; body carries the request id so a
+/// A score request failed; the body carries the request id so a
 /// pipelined client can correlate the failure (see [`TAG_SCORES`]).
 pub const TAG_SCORE_ERROR: u8 = 0x89;
 
@@ -115,9 +101,7 @@ pub enum Request {
         /// Client-chosen id echoed in the response.
         request_id: u64,
         /// Client-chosen trace id (`0` = none; the server then applies
-        /// its own sampling). Non-zero ids ride the v2 `SCORE_V2` tag;
-        /// a zero id encodes as the v1 `SCORE` tag, so v1 peers are
-        /// unaffected.
+        /// its own sampling).
         trace_id: u64,
         /// Rows to score (at least one; all the same numeric width).
         rows: Vec<FeatureRow>,
@@ -132,7 +116,7 @@ pub enum Request {
     Shutdown,
     /// Read the server counters.
     Stats,
-    /// v2: fetch the server's trace ring as Chrome trace JSON.
+    /// Fetch the server's trace ring as Chrome trace JSON.
     TraceDump,
 }
 
@@ -146,8 +130,6 @@ pub enum Response {
         /// One sigmoid score per submitted row, in row order.
         scores: Vec<f32>,
     },
-    /// The admission queue was full; the request was not scored.
-    Overloaded,
     /// The request failed; human-readable reason.
     Error {
         /// What went wrong.
@@ -155,41 +137,36 @@ pub enum Response {
     },
     /// Acknowledgement for `Reload`/`Shutdown`.
     Ok,
-    /// Counter snapshot for `Stats`. `window` is present on v2+
-    /// connections (it encodes as `STATS_REPLY_V2`), `shards` on v3+
-    /// (`STATS_REPLY_V3`, which always carries the window block too);
-    /// both `None` keeps the bit-exact v1 `STATS_REPLY` wire shape for
-    /// old clients.
+    /// Reply to `Stats`: counters, window quantiles and shard block.
     Stats {
         /// Lifetime counters.
         snapshot: StatsSnapshot,
-        /// Sliding-window stage quantiles (v2 only). Boxed so the
-        /// common small responses don't pay the block's enum size.
-        window: Option<Box<WindowedStats>>,
-        /// Per-shard batcher counters (v3 only), indexed by shard id.
-        shards: Option<Vec<ShardStats>>,
+        /// Sliding-window stage quantiles. Boxed so the common small
+        /// responses don't pay the block's enum size.
+        window: Box<WindowedStats>,
+        /// Per-shard batcher counters, indexed by shard id.
+        shards: Vec<ShardStats>,
     },
-    /// v2: the server's trace ring as Chrome trace-event JSON.
+    /// The server's trace ring as Chrome trace-event JSON.
     TraceDump {
         /// A complete Chrome trace JSON document.
         json: String,
     },
-    /// v3: a score request failed (validation, overload, or shutdown).
+    /// A score request failed (validation, overload, or shutdown).
     /// Carries the request id so a pipelined connection can correlate
     /// the failure with one of its in-flight submissions.
     ScoreError {
         /// Echo of the request's id.
         request_id: u64,
-        /// True when admission control shed the request (the v3
-        /// equivalent of `OVERLOADED`); the client should back off and
-        /// may retry.
+        /// True when admission control shed the request; the client
+        /// should back off and may retry.
         overloaded: bool,
         /// Human-readable reason (empty for pure overload).
         message: String,
     },
 }
 
-/// Per-shard batcher counters inside a v3 `STATS` reply.
+/// Per-shard batcher counters inside a `STATS` reply.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardStats {
     /// Model calls this shard's batcher has made.
@@ -275,8 +252,8 @@ pub struct WindowedStats {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Writes one side's handshake hello: magic + the version it offers
-/// (client: its best; server: the negotiated answer).
+/// Writes one side's handshake hello: magic + its version (always
+/// [`VERSION`] for this build's client and server).
 pub fn write_hello(w: &mut impl Write, version: u32) -> io::Result<()> {
     let mut wire = [0u8; 8];
     wire[..4].copy_from_slice(&MAGIC);
@@ -285,7 +262,8 @@ pub fn write_hello(w: &mut impl Write, version: u32) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads the peer's handshake hello, returning the version it offered.
+/// Reads the peer's handshake hello, returning the version it speaks.
+/// The caller decides what a version other than [`VERSION`] means.
 pub fn read_hello(r: &mut impl Read) -> io::Result<u32> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -293,20 +271,6 @@ pub fn read_hello(r: &mut impl Read) -> io::Result<u32> {
         return Err(bad_data("bad handshake magic (not an amoe-serve peer)"));
     }
     read_u32(r)
-}
-
-/// Clamps a peer's offered version into this build's supported range.
-///
-/// # Errors
-/// Rejects versions below [`MIN_VERSION`] (version 0 is reserved and
-/// indicates a corrupt hello).
-pub fn negotiate(peer_version: u32) -> io::Result<u32> {
-    if peer_version < MIN_VERSION {
-        return Err(bad_data(format!(
-            "unsupported protocol version {peer_version} (want {MIN_VERSION}..={VERSION})"
-        )));
-    }
-    Ok(peer_version.min(VERSION))
 }
 
 /// Writes one length-prefixed frame.
@@ -352,16 +316,9 @@ impl Request {
                 trace_id,
                 rows,
             } => {
-                // A zero trace id keeps the exact v1 wire shape; only
-                // explicitly traced requests need the v2 tag.
-                if *trace_id == 0 {
-                    out.push(TAG_SCORE);
-                    put_u64(&mut out, *request_id);
-                } else {
-                    out.push(TAG_SCORE_V2);
-                    put_u64(&mut out, *request_id);
-                    put_u64(&mut out, *trace_id);
-                }
+                out.push(TAG_SCORE);
+                put_u64(&mut out, *request_id);
+                put_u64(&mut out, *trace_id);
                 let n_numeric = rows.first().map_or(0, |r| r.numeric.len());
                 put_u32(&mut out, rows.len() as u32);
                 put_u32(&mut out, n_numeric as u32);
@@ -398,17 +355,23 @@ impl Request {
     pub fn decode(payload: &[u8]) -> io::Result<Request> {
         let mut c = Cursor::new(payload);
         let req = match c.u8()? {
-            tag @ (TAG_SCORE | TAG_SCORE_V2) => {
+            TAG_SCORE => {
                 let request_id = c.u64()?;
-                let trace_id = if tag == TAG_SCORE_V2 { c.u64()? } else { 0 };
+                let trace_id = c.u64()?;
                 let n_rows = c.u32()? as usize;
                 let n_numeric = c.u32()? as usize;
                 if n_rows == 0 {
                     return Err(bad_data("score request with zero rows"));
                 }
-                // 7 ids + numeric values, 4 bytes each.
-                let row_bytes = (7 + n_numeric) * 4;
-                if c.remaining() != n_rows * row_bytes {
+                // 7 ids + numeric values, 4 bytes each. The header
+                // counts are peer-controlled, so the size arithmetic is
+                // checked: a wrapped product could otherwise match the
+                // real body length and size the allocation below.
+                let body_len = n_numeric
+                    .checked_add(7)
+                    .and_then(|n| n.checked_mul(4))
+                    .and_then(|row_bytes| n_rows.checked_mul(row_bytes));
+                if body_len != Some(c.remaining()) {
                     return Err(bad_data("score request body length mismatch"));
                 }
                 let mut rows = Vec::with_capacity(n_rows);
@@ -463,7 +426,6 @@ impl Response {
                     out.extend_from_slice(&s.to_le_bytes());
                 }
             }
-            Response::Overloaded => out.push(TAG_OVERLOADED),
             Response::Error { message } => {
                 out.push(TAG_ERROR);
                 put_str(&mut out, message);
@@ -474,17 +436,7 @@ impl Response {
                 window,
                 shards,
             } => {
-                // v1 clients reject trailing bytes, so each added
-                // block rides a distinct tag rather than extending
-                // the v1 body. The v3 shard block requires the window
-                // block (a v3 server always has both).
-                out.push(if shards.is_some() {
-                    TAG_STATS_REPLY_V3
-                } else if window.is_some() {
-                    TAG_STATS_REPLY_V2
-                } else {
-                    TAG_STATS_REPLY
-                });
+                out.push(TAG_STATS_REPLY);
                 for v in [
                     snapshot.requests,
                     snapshot.rows,
@@ -497,39 +449,25 @@ impl Response {
                 ] {
                     put_u64(&mut out, v);
                 }
-                let defaulted;
-                let window = match (window, shards) {
-                    (Some(w), _) => Some(&**w),
-                    (None, Some(_)) => {
-                        debug_assert!(false, "v3 stats reply built without a window block");
-                        defaulted = WindowedStats::default();
-                        Some(&defaulted)
-                    }
-                    (None, None) => None,
-                };
-                if let Some(w) = window {
-                    put_f64(&mut out, w.window_secs);
-                    for s in [
-                        &w.request_latency_us,
-                        &w.queue_wait_us,
-                        &w.compute_us,
-                        &w.reply_write_us,
-                        &w.queue_depth,
-                    ] {
-                        put_u64(&mut out, s.count);
-                        put_f64(&mut out, s.p50);
-                        put_f64(&mut out, s.p95);
-                        put_f64(&mut out, s.p99);
-                    }
+                put_f64(&mut out, window.window_secs);
+                for s in [
+                    &window.request_latency_us,
+                    &window.queue_wait_us,
+                    &window.compute_us,
+                    &window.reply_write_us,
+                    &window.queue_depth,
+                ] {
+                    put_u64(&mut out, s.count);
+                    put_f64(&mut out, s.p50);
+                    put_f64(&mut out, s.p95);
+                    put_f64(&mut out, s.p99);
                 }
-                if let Some(sh) = shards {
-                    put_u32(&mut out, sh.len() as u32);
-                    for s in sh {
-                        put_u64(&mut out, s.batches);
-                        put_u64(&mut out, s.overloaded);
-                        put_u64(&mut out, s.queue_depth);
-                        put_f64(&mut out, s.queue_depth_p99);
-                    }
+                put_u32(&mut out, shards.len() as u32);
+                for s in shards {
+                    put_u64(&mut out, s.batches);
+                    put_u64(&mut out, s.overloaded);
+                    put_u64(&mut out, s.queue_depth);
+                    put_f64(&mut out, s.queue_depth_p99);
                 }
             }
             Response::TraceDump { json } => {
@@ -557,7 +495,7 @@ impl Response {
             TAG_SCORES => {
                 let request_id = c.u64()?;
                 let n = c.u32()? as usize;
-                if c.remaining() != n * 4 {
+                if n.checked_mul(4) != Some(c.remaining()) {
                     return Err(bad_data("scores body length mismatch"));
                 }
                 let mut scores = Vec::with_capacity(n);
@@ -566,10 +504,9 @@ impl Response {
                 }
                 Response::Scores { request_id, scores }
             }
-            TAG_OVERLOADED => Response::Overloaded,
             TAG_ERROR => Response::Error { message: c.str()? },
             TAG_OK => Response::Ok,
-            tag @ (TAG_STATS_REPLY | TAG_STATS_REPLY_V2 | TAG_STATS_REPLY_V3) => {
+            TAG_STATS_REPLY => {
                 let snapshot = StatsSnapshot {
                     requests: c.u64()?,
                     rows: c.u64()?,
@@ -580,48 +517,39 @@ impl Response {
                     reloads: c.u64()?,
                     queue_depth: c.u64()?,
                 };
-                let window = if tag != TAG_STATS_REPLY {
-                    let window_secs = c.f64()?;
-                    let mut summaries = [QuantileSummary::default(); 5];
-                    for s in &mut summaries {
-                        *s = QuantileSummary {
-                            count: c.u64()?,
-                            p50: c.f64()?,
-                            p95: c.f64()?,
-                            p99: c.f64()?,
-                        };
-                    }
-                    Some(Box::new(WindowedStats {
-                        window_secs,
-                        request_latency_us: summaries[0],
-                        queue_wait_us: summaries[1],
-                        compute_us: summaries[2],
-                        reply_write_us: summaries[3],
-                        queue_depth: summaries[4],
-                    }))
-                } else {
-                    None
-                };
-                let shards = if tag == TAG_STATS_REPLY_V3 {
-                    let n = c.u32()? as usize;
-                    // Each entry is 3×u64 + f64; reject count/body
-                    // mismatches before allocating.
-                    if c.remaining() != n * 32 {
-                        return Err(bad_data("shard stats body length mismatch"));
-                    }
-                    let mut sh = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        sh.push(ShardStats {
-                            batches: c.u64()?,
-                            overloaded: c.u64()?,
-                            queue_depth: c.u64()?,
-                            queue_depth_p99: c.f64()?,
-                        });
-                    }
-                    Some(sh)
-                } else {
-                    None
-                };
+                let window_secs = c.f64()?;
+                let mut summaries = [QuantileSummary::default(); 5];
+                for s in &mut summaries {
+                    *s = QuantileSummary {
+                        count: c.u64()?,
+                        p50: c.f64()?,
+                        p95: c.f64()?,
+                        p99: c.f64()?,
+                    };
+                }
+                let window = Box::new(WindowedStats {
+                    window_secs,
+                    request_latency_us: summaries[0],
+                    queue_wait_us: summaries[1],
+                    compute_us: summaries[2],
+                    reply_write_us: summaries[3],
+                    queue_depth: summaries[4],
+                });
+                let n = c.u32()? as usize;
+                // Each entry is 3×u64 + f64; reject count/body
+                // mismatches before allocating.
+                if n.checked_mul(32) != Some(c.remaining()) {
+                    return Err(bad_data("shard stats body length mismatch"));
+                }
+                let mut shards = Vec::with_capacity(n);
+                for _ in 0..n {
+                    shards.push(ShardStats {
+                        batches: c.u64()?,
+                        overloaded: c.u64()?,
+                        queue_depth: c.u64()?,
+                        queue_depth_p99: c.f64()?,
+                    });
+                }
                 Response::Stats {
                     snapshot,
                     window,
@@ -742,6 +670,8 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoe_tensor::check::{ensure, Checker};
+    use amoe_tensor::rng::Rng;
 
     fn row(seed: u32) -> FeatureRow {
         FeatureRow {
@@ -813,52 +743,20 @@ mod tests {
     }
 
     #[test]
-    fn untraced_score_keeps_v1_wire_shape() {
-        // A zero trace id must encode byte-for-byte as a v1 SCORE
-        // frame so v1 servers accept it.
-        let payload = Request::Score {
-            request_id: 5,
-            trace_id: 0,
-            rows: vec![row(1)],
-        }
-        .encode();
-        assert_eq!(payload[0], TAG_SCORE);
-        let traced = Request::Score {
-            request_id: 5,
-            trace_id: 9,
-            rows: vec![row(1)],
-        }
-        .encode();
-        assert_eq!(traced[0], TAG_SCORE_V2);
-        assert_eq!(traced.len(), payload.len() + 8);
-    }
-
-    #[test]
     fn responses_round_trip() {
         let cases = vec![
             Response::Scores {
                 request_id: 9,
                 scores: vec![0.25, 0.75, 1.0],
             },
-            Response::Overloaded,
             Response::Error {
                 message: "bad id".into(),
             },
             Response::Ok,
             Response::Stats {
                 snapshot: sample_stats(),
-                window: None,
-                shards: None,
-            },
-            Response::Stats {
-                snapshot: sample_stats(),
-                window: Some(Box::new(sample_window())),
-                shards: None,
-            },
-            Response::Stats {
-                snapshot: sample_stats(),
-                window: Some(Box::new(sample_window())),
-                shards: Some(vec![
+                window: Box::new(sample_window()),
+                shards: vec![
                     ShardStats {
                         batches: 4,
                         overloaded: 1,
@@ -866,7 +764,7 @@ mod tests {
                         queue_depth_p99: 3.5,
                     },
                     ShardStats::default(),
-                ]),
+                ],
             },
             Response::TraceDump {
                 json: "{\"traceEvents\":[]}".into(),
@@ -886,37 +784,6 @@ mod tests {
             let decoded = Response::decode(&resp.encode()).expect("decode");
             assert_eq!(decoded, resp);
         }
-    }
-
-    #[test]
-    fn windowless_stats_reply_keeps_v1_wire_shape() {
-        let payload = Response::Stats {
-            snapshot: sample_stats(),
-            window: None,
-            shards: None,
-        }
-        .encode();
-        // v1 layout: tag + 8 × u64, nothing else (v1 clients reject
-        // trailing bytes).
-        assert_eq!(payload.len(), 1 + 8 * 8);
-        assert_eq!(payload[0], TAG_STATS_REPLY);
-        let v2 = Response::Stats {
-            snapshot: sample_stats(),
-            window: Some(Box::new(sample_window())),
-            shards: None,
-        }
-        .encode();
-        assert_eq!(v2[0], TAG_STATS_REPLY_V2);
-        // The shard block extends the v2 body: v3 = v2 + count + 32
-        // bytes per shard, under yet another tag.
-        let v3 = Response::Stats {
-            snapshot: sample_stats(),
-            window: Some(Box::new(sample_window())),
-            shards: Some(vec![ShardStats::default(); 3]),
-        }
-        .encode();
-        assert_eq!(v3[0], TAG_STATS_REPLY_V3);
-        assert_eq!(v3.len(), v2.len() + 4 + 3 * 32);
     }
 
     #[test]
@@ -947,24 +814,12 @@ mod tests {
     }
 
     #[test]
-    fn handshake_rejects_wrong_magic() {
-        let mut wire = Vec::new();
-        write_hello(&mut wire, VERSION).unwrap();
-        wire[0] = b'X';
-        assert!(read_hello(&mut &wire[..]).is_err());
-    }
-
-    #[test]
-    fn handshake_negotiation_clamps_to_supported_range() {
+    fn handshake_round_trips_and_rejects_wrong_magic() {
         let mut wire = Vec::new();
         write_hello(&mut wire, VERSION).unwrap();
         assert_eq!(read_hello(&mut &wire[..]).unwrap(), VERSION);
-        // A v1 peer negotiates down; a futuristic peer clamps to ours;
-        // version 0 is a corrupt hello.
-        assert_eq!(negotiate(1).unwrap(), 1);
-        assert_eq!(negotiate(VERSION).unwrap(), VERSION);
-        assert_eq!(negotiate(99).unwrap(), VERSION);
-        assert!(negotiate(0).is_err());
+        wire[0] = b'X';
+        assert!(read_hello(&mut &wire[..]).is_err());
     }
 
     #[test]
@@ -974,12 +829,196 @@ mod tests {
         assert!(Request::decode(&payload).is_err());
     }
 
+    /// A SCORE header (no body) with the given counts.
+    fn score_header(n_rows: u32, n_numeric: u32) -> Vec<u8> {
+        let mut payload = vec![TAG_SCORE];
+        payload.extend_from_slice(&0u64.to_le_bytes()); // request id
+        payload.extend_from_slice(&0u64.to_le_bytes()); // trace id
+        payload.extend_from_slice(&n_rows.to_le_bytes());
+        payload.extend_from_slice(&n_numeric.to_le_bytes());
+        payload
+    }
+
     #[test]
     fn zero_row_score_rejected() {
-        let mut payload = vec![TAG_SCORE];
-        payload.extend_from_slice(&0u64.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&3u32.to_le_bytes());
-        assert!(Request::decode(&payload).is_err());
+        assert!(Request::decode(&score_header(0, 3)).is_err());
+    }
+
+    #[test]
+    fn score_size_overflow_rejected() {
+        // n_rows · (7 + n_numeric) · 4 = 2^31 · 2^33 = 2^64: unchecked,
+        // the product wraps to 0, matches the empty body, and the row
+        // allocation asks for 2^31 rows.
+        let (n_rows, n_numeric) = (1u32 << 31, (1u32 << 31) - 7);
+        assert!(Request::decode(&score_header(n_rows, n_numeric)).is_err());
+        // The same counts in a header without the trace-id field.
+        let mut short = vec![TAG_SCORE];
+        short.extend_from_slice(&0u64.to_le_bytes());
+        short.extend_from_slice(&n_rows.to_le_bytes());
+        short.extend_from_slice(&n_numeric.to_le_bytes());
+        assert_eq!(short.len(), 17);
+        assert!(Request::decode(&short).is_err());
+    }
+
+    // -----------------------------------------------------------------
+    // Seeded codec properties
+    // -----------------------------------------------------------------
+
+    fn gen_u64(rng: &mut Rng) -> u64 {
+        // Bias towards the edges: zero ids and all-ones are legal too.
+        match rng.below(4) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.next_u64(),
+        }
+    }
+
+    fn gen_f64(rng: &mut Rng) -> f64 {
+        (rng.uniform() - 0.5) * 1e6
+    }
+
+    fn gen_string(rng: &mut Rng) -> String {
+        const ALPHABET: [char; 8] = ['a', 'Z', '0', '/', ' ', '"', 'é', '✓'];
+        (0..rng.below(12))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+            .collect()
+    }
+
+    fn gen_request(rng: &mut Rng) -> Request {
+        match rng.below(5) {
+            0 => {
+                let width = rng.below(6);
+                let rows = (0..1 + rng.below(4))
+                    .map(|_| {
+                        let mut id = || rng.next_u64() as u32;
+                        FeatureRow {
+                            sc: id(),
+                            tc: id(),
+                            brand: id(),
+                            shop: id(),
+                            user_segment: id(),
+                            price_bucket: id(),
+                            query: id(),
+                            numeric: (0..width).map(|_| rng.uniform_in(-1e3, 1e3)).collect(),
+                        }
+                    })
+                    .collect();
+                Request::Score {
+                    request_id: gen_u64(rng),
+                    trace_id: gen_u64(rng),
+                    rows,
+                }
+            }
+            1 => Request::Reload {
+                path: gen_string(rng),
+            },
+            2 => Request::Shutdown,
+            3 => Request::Stats,
+            _ => Request::TraceDump,
+        }
+    }
+
+    fn gen_response(rng: &mut Rng) -> Response {
+        let summary = |rng: &mut Rng| QuantileSummary {
+            count: gen_u64(rng),
+            p50: gen_f64(rng),
+            p95: gen_f64(rng),
+            p99: gen_f64(rng),
+        };
+        match rng.below(6) {
+            0 => Response::Scores {
+                request_id: gen_u64(rng),
+                scores: (0..rng.below(7)).map(|_| rng.uniform() as f32).collect(),
+            },
+            1 => Response::Error {
+                message: gen_string(rng),
+            },
+            2 => Response::Ok,
+            3 => Response::Stats {
+                snapshot: StatsSnapshot {
+                    requests: gen_u64(rng),
+                    rows: gen_u64(rng),
+                    ok: gen_u64(rng),
+                    overloaded: gen_u64(rng),
+                    errors: gen_u64(rng),
+                    batches: gen_u64(rng),
+                    reloads: gen_u64(rng),
+                    queue_depth: gen_u64(rng),
+                },
+                window: Box::new(WindowedStats {
+                    window_secs: gen_f64(rng),
+                    request_latency_us: summary(rng),
+                    queue_wait_us: summary(rng),
+                    compute_us: summary(rng),
+                    reply_write_us: summary(rng),
+                    queue_depth: summary(rng),
+                }),
+                shards: (0..rng.below(5))
+                    .map(|_| ShardStats {
+                        batches: gen_u64(rng),
+                        overloaded: gen_u64(rng),
+                        queue_depth: gen_u64(rng),
+                        queue_depth_p99: gen_f64(rng),
+                    })
+                    .collect(),
+            },
+            4 => Response::TraceDump {
+                json: gen_string(rng),
+            },
+            _ => Response::ScoreError {
+                request_id: gen_u64(rng),
+                overloaded: rng.below(2) == 1,
+                message: gen_string(rng),
+            },
+        }
+    }
+
+    /// The codec law shared by requests and responses: encoding
+    /// round-trips; every strict prefix is rejected (messages are
+    /// self-delimiting); and every single-byte corruption either is
+    /// rejected or decodes to a message that re-encodes to exactly the
+    /// corrupted bytes (the codec is canonical). None of it may panic.
+    fn codec_law<T: PartialEq + std::fmt::Debug>(
+        rng: &mut Rng,
+        value: &T,
+        encode: impl Fn(&T) -> Vec<u8>,
+        decode: impl Fn(&[u8]) -> io::Result<T>,
+    ) -> amoe_tensor::check::CaseResult {
+        let wire = encode(value);
+        let back = decode(&wire).map_err(|e| format!("{value:?} failed to decode: {e}"))?;
+        ensure(back == *value, format!("{value:?} decoded as {back:?}"))?;
+        for cut in 0..wire.len() {
+            ensure(
+                decode(&wire[..cut]).is_err(),
+                format!("{cut}-byte prefix of {value:?} decoded"),
+            )?;
+        }
+        for at in 0..wire.len() {
+            let mut bad = wire.clone();
+            bad[at] ^= 1 + rng.below(255) as u8;
+            if let Ok(other) = decode(&bad) {
+                ensure(
+                    encode(&other) == bad,
+                    format!("corrupting byte {at} of {value:?} gave non-canonical {other:?}"),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn request_codec_round_trips_and_rejects_damage() {
+        Checker::new("request_codec").run(|rng| {
+            let req = gen_request(rng);
+            codec_law(rng, &req, Request::encode, Request::decode)
+        });
+    }
+
+    #[test]
+    fn response_codec_round_trips_and_rejects_damage() {
+        Checker::new("response_codec").run(|rng| {
+            let resp = gen_response(rng);
+            codec_law(rng, &resp, Response::encode, Response::decode)
+        });
     }
 }

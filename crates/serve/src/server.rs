@@ -1,7 +1,6 @@
-//! The TCP server: accept loop, per-connection handlers (strict
-//! request/response for v≤2 peers, pipelined with a per-connection
-//! writer thread for v3), N batcher shards with per-shard admission
-//! control, checkpoint hot-swap and graceful drain.
+//! The TCP server: accept loop, pipelined per-connection handlers (a
+//! reader plus a writer thread each), N batcher shards with per-shard
+//! admission control, checkpoint hot-swap and graceful drain.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -87,7 +86,7 @@ impl StageWindows {
     }
 }
 
-/// Sliding-window stage histograms behind the v2 `STATS` quantiles and
+/// Sliding-window stage histograms behind the `STATS` quantiles and
 /// the `/metrics` per-shard quantile families. Always on (a handful of
 /// histogram increments per request), independent of the `AMOE_OBS`
 /// telemetry gate. Kept **per shard** (index = shard id) so `/metrics`
@@ -182,7 +181,7 @@ impl ServerStats {
         }
     }
 
-    /// Folds the sliding windows into the v2 `STATS` quantile block
+    /// Folds the sliding windows into the `STATS` quantile block
     /// (bucket-exact merge across every shard's stage windows).
     pub(crate) fn window_stats(&self) -> WindowedStats {
         let mut w = self.windows.lock().unwrap();
@@ -203,7 +202,7 @@ impl ServerStats {
         }
     }
 
-    /// Per-shard counters for the v3 `STATS` shard block.
+    /// Per-shard counters for the `STATS` shard block.
     pub(crate) fn shard_stats(&self, queues: &[RequestQueue<Pending>]) -> Vec<ShardStats> {
         // Depths first: each queue's depth observer takes the windows
         // lock while holding the queue lock, so reading queue lengths
@@ -391,13 +390,13 @@ impl Server {
         self.shared.stats.snapshot(self.shared.queue_depth_total())
     }
 
-    /// Sliding-window stage quantiles (the v2 `STATS` block).
+    /// Sliding-window stage quantiles (the `STATS` window block).
     #[must_use]
     pub fn window_stats(&self) -> WindowedStats {
         self.shared.stats.window_stats()
     }
 
-    /// Per-shard batcher counters (the v3 `STATS` shard block).
+    /// Per-shard batcher counters (the `STATS` shard block).
     #[must_use]
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shared.stats.shard_stats(&self.shared.queues)
@@ -468,7 +467,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
     }
     // Every admitted request must be answered before join() returns,
-    // so wait for all connection threads (a pipelined handler in turn
+    // so wait for all connection threads (each handler in turn
     // joins its writer, which drains every in-flight completion).
     for h in handlers {
         let _ = h.join();
@@ -480,76 +479,22 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// Runs one connection: the hello, then the reader (this thread)
+/// decodes requests and admits scores without waiting for their
+/// completions, while a dedicated writer thread owns the write half and
+/// sends replies in whatever order the batcher shards finish.
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     // Replies must not sit in the kernel waiting for an ACK.
     let _ = stream.set_nodelay(true);
-    // Version negotiation: the client offers, we answer with
-    // min(client, ours) and speak that for the connection — v1 peers
-    // keep working against a v3 server.
+    // One protocol version: always answer with ours, so a mismatched
+    // peer learns what we speak, then refuse it. The accept loop keeps
+    // a clone of this socket, so dropping `stream` alone would not
+    // close it; shut it down explicitly so the peer sees EOF.
     let offered = protocol::read_hello(&mut stream)?;
-    let version = protocol::negotiate(offered)?;
-    protocol::write_hello(&mut stream, version)?;
-    if version >= 3 {
-        return handle_connection_pipelined(stream, shared);
+    protocol::write_hello(&mut stream, protocol::VERSION)?;
+    if offered != protocol::VERSION {
+        return stream.shutdown(std::net::Shutdown::Both);
     }
-    // v1/v2: strict request/response, kept wire-exact for old peers
-    // (one in-flight score, replies written by this thread).
-    loop {
-        let payload = match protocol::read_frame(&mut stream) {
-            Ok(p) => p,
-            // Peer hung up between requests: normal connection end.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                reply(
-                    &mut stream,
-                    &Response::Error {
-                        message: format!("malformed request: {e}"),
-                    },
-                )?;
-                continue;
-            }
-        };
-        match request {
-            Request::Score {
-                request_id,
-                trace_id,
-                rows,
-            } => {
-                handle_score(&mut stream, shared, request_id, trace_id, rows)?;
-            }
-            Request::Reload { path } => {
-                let resp = reload_response(shared, &path);
-                reply(&mut stream, &resp)?;
-            }
-            Request::Stats => {
-                let resp = stats_response(shared, version);
-                reply(&mut stream, &resp)?;
-            }
-            Request::TraceDump => {
-                // An empty document (tracing off) is still valid
-                // Chrome trace JSON, so no special case.
-                let json = trace::chrome_json();
-                reply(&mut stream, &Response::TraceDump { json })?;
-            }
-            Request::Shutdown => {
-                initiate_shutdown(&stream, shared)?;
-                reply(&mut stream, &Response::Ok)?;
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// v3 connections: the reader (this thread) decodes requests and
-/// admits scores without waiting for their completions; a dedicated
-/// writer thread owns the write half and sends replies in whatever
-/// order the batcher shards finish.
-fn handle_connection_pipelined(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     let write_half = stream.try_clone()?;
     let (tx, rx) = mpsc::channel::<WriterMsg>();
     let writer = {
@@ -558,7 +503,7 @@ fn handle_connection_pipelined(mut stream: TcpStream, shared: &Arc<Shared>) -> i
             .name("amoe-serve-writer".into())
             .spawn(move || writer_loop(write_half, &rx, &shared))?
     };
-    let result = pipelined_read_loop(&mut stream, shared, &tx);
+    let result = read_loop(&mut stream, shared, &tx);
     // Dropping the reader's sender lets the writer drain and exit:
     // every in-flight Pending holds its own sender clone, so the
     // channel only closes once each admitted request has been
@@ -569,7 +514,7 @@ fn handle_connection_pipelined(mut stream: TcpStream, shared: &Arc<Shared>) -> i
     result
 }
 
-fn pipelined_read_loop(
+fn read_loop(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
     tx: &mpsc::Sender<WriterMsg>,
@@ -611,7 +556,7 @@ fn pipelined_read_loop(
                 let _ = tx.send(WriterMsg::Admin(reload_response(shared, &path)));
             }
             Request::Stats => {
-                let _ = tx.send(WriterMsg::Admin(stats_response(shared, 3)));
+                let _ = tx.send(WriterMsg::Admin(stats_response(shared)));
             }
             Request::TraceDump => {
                 let _ = tx.send(WriterMsg::Admin(Response::TraceDump {
@@ -627,7 +572,7 @@ fn pipelined_read_loop(
     }
 }
 
-/// The per-connection reply writer (v3): single owner of the
+/// The per-connection reply writer: single owner of the
 /// connection's write half. Completions arrive from whichever batcher
 /// shard finishes first; admin responses arrive from the reader in
 /// request order. Runs until every sender (the reader plus one clone
@@ -645,17 +590,16 @@ fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterMsg>, shared: &A
 
 /// Why a score request was not admitted to a shard queue.
 struct ScoreReject {
-    /// True when admission control shed it (reply `OVERLOADED` /
+    /// True when admission control shed it (reply
     /// `SCORE_ERROR{overloaded}`), false for validation/shutdown
     /// errors.
     overloaded: bool,
     message: String,
 }
 
-/// Validates a score request and enqueues it onto its shard (shared by
-/// the sync and pipelined paths). On success the request's reply lane
-/// is registered with the shard's batcher; the caller gets the shard
-/// index for telemetry.
+/// Validates a score request and enqueues it onto its shard. On
+/// success the request's reply lane is registered with the shard's
+/// batcher; the caller gets the shard index for telemetry.
 fn admit_score(
     shared: &Arc<Shared>,
     request_id: u64,
@@ -708,6 +652,9 @@ fn admit_score(
         reply,
         enqueued: t0,
     };
+    // The batcher can pop the request (tracing `queue_exit`) before
+    // push returns, so `enqueued` is a span that starts before the push.
+    let push_ns = if trace_id != 0 { trace::now_ns() } else { 0 };
     match shared.queues[shard].push(pending, shared.config.overload) {
         Ok(()) => {}
         Err(PushError::Full) => {
@@ -732,47 +679,13 @@ fn admit_score(
     // observer, under the queue lock — not here, where a concurrent pop
     // could already have made the depth stale.
     if trace_id != 0 {
-        trace::record_instant(trace_id, 0, "enqueued", n_rows_in);
+        trace::record(trace_id, 0, "enqueued", push_ns, trace::now_ns(), n_rows_in);
     }
     Ok(shard)
 }
 
-/// v≤2 score handling: admit, then block this connection thread until
-/// the shard's batcher answers (strict request/response).
-fn handle_score(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request_id: u64,
-    trace_id: u64,
-    rows: Vec<FeatureRow>,
-) -> io::Result<()> {
-    let t0 = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    if let Err(r) = admit_score(shared, request_id, trace_id, &rows, t0, tx) {
-        // Old peers get the uncorrelated v1 rejection frames.
-        return if r.overloaded {
-            reply(stream, &Response::Overloaded)
-        } else {
-            reply(stream, &Response::Error { message: r.message })
-        };
-    }
-    // The batcher always answers admitted requests (drain included);
-    // a recv error means it panicked.
-    let Ok(WriterMsg::Done(done)) = rx.recv() else {
-        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        return reply(
-            stream,
-            &Response::Error {
-                message: "internal error: batcher unavailable".into(),
-            },
-        );
-    };
-    write_score_reply(stream, shared, done)
-}
-
 /// Writes one completed score and records the per-request completion
-/// telemetry — shared by the sync path and the pipelined writer, so
-/// windowed accounting stays exactly once per request on both.
+/// telemetry, so windowed accounting happens exactly once per request.
 fn write_score_reply(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
@@ -791,7 +704,7 @@ fn write_score_reply(
     let reply_us = write_t0.elapsed().as_micros() as f64;
     let latency_us = done.enqueued.elapsed().as_micros() as u64;
     {
-        // Always-on windowed stage accounting behind the v2 STATS
+        // Always-on windowed stage accounting behind the STATS
         // quantiles and the per-shard /metrics families: a couple of
         // histogram increments per request. Traced requests double as
         // exemplar candidates.
@@ -873,16 +786,12 @@ fn reload_response(shared: &Arc<Shared>, path: &str) -> Response {
     }
 }
 
-/// Builds the version-appropriate `STATS` reply: v1 counters only, v2
-/// adds the window block, v3 adds per-shard counters on top.
-fn stats_response(shared: &Arc<Shared>, version: u32) -> Response {
-    let snapshot = shared.stats.snapshot(shared.queue_depth_total());
-    let window = (version >= 2).then(|| Box::new(shared.stats.window_stats()));
-    let shards = (version >= 3).then(|| shared.stats.shard_stats(&shared.queues));
+/// Builds the `STATS` reply: counters, window block and shard block.
+fn stats_response(shared: &Arc<Shared>) -> Response {
     Response::Stats {
-        snapshot,
-        window,
-        shards,
+        snapshot: shared.stats.snapshot(shared.queue_depth_total()),
+        window: Box::new(shared.stats.window_stats()),
+        shards: shared.stats.shard_stats(&shared.queues),
     }
 }
 

@@ -55,8 +55,8 @@ AMOE_OBS=target/ci_serve_smoke.jsonl \
 step "multi-shard smoke: amoe-serve --shards 2 driven over real TCP"
 # Exercises the standalone binary end to end: demo-export a
 # checkpoint, serve it with two batcher shards, drive it with
-# load_sweep's external (closed+open loop) stages over a pipelined v3
-# connection, read the per-shard STATS block, then drain gracefully.
+# load_sweep's external (closed+open loop) stages, read the STATS
+# window and per-shard blocks, then drain gracefully.
 cargo build --release --offline -p amoe-serve --bin amoe-serve
 rm -rf target/ci_shard_demo && mkdir -p target/ci_shard_demo
 ./target/release/amoe-serve demo-export --out target/ci_shard_demo >/dev/null
@@ -80,8 +80,11 @@ if [[ -z "$ADDR" || -z "$OBS_ADDR" ]]; then
 fi
 AMOE_BENCH_SMOKE=1 \
   cargo run --release --offline -p amoe-bench --bin load_sweep -- --smoke --addr "$ADDR"
-./target/release/amoe-serve stats --addr "$ADDR" | grep -q "shard0" || {
+./target/release/amoe-serve stats --addr "$ADDR" > target/ci_shard_demo/stats.txt
+grep -q "shard0" target/ci_shard_demo/stats.txt || {
   echo "FAIL: stats reply carries no per-shard block" >&2; exit 1; }
+grep -q "^window=" target/ci_shard_demo/stats.txt || {
+  echo "FAIL: stats reply carries no window block" >&2; exit 1; }
 
 step "obs smoke: /metrics lints clean, /healthz and /readyz answer"
 # The scrape subcommand is the in-repo Prometheus client: --lint runs

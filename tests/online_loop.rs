@@ -6,7 +6,7 @@
 //!
 //! * at least three automatic drift-driven refit/RELOAD cycles land;
 //! * the server stays continuously available — every admitted probe
-//!   is answered, zero failed requests, zero `OVERLOADED` sheds at
+//!   is answered, zero failed requests, zero overload sheds at
 //!   this offered load;
 //! * after the reloads, the server's scores are bit-identical to the
 //!   loop's in-process model (the export→reload→serve path preserves
@@ -128,7 +128,7 @@ fn continuous_loop_survives_three_reload_cycles_and_beats_frozen() {
     assert_eq!(stats.failed, 0, "every admitted request answered");
     assert_eq!(
         stats.probes_overloaded, 0,
-        "no OVERLOADED shedding at this offered load"
+        "no overload shedding at this offered load"
     );
     assert_eq!(stats.probes_ok, ticks, "one successful probe per tick");
     assert_eq!(lp.generation(), 3);

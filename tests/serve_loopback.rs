@@ -1,7 +1,7 @@
 //! End-to-end tests of the `amoe-serve` service over loopback TCP:
 //! batched scores must be **bit-identical** to direct in-process
 //! `ServingMoe::predict` at every pool width, overload must surface as
-//! `OVERLOADED`, a hot-swap under load must not fail a single
+//! `ServeError::Overloaded`, a hot-swap under load must not fail a single
 //! in-flight request, and `SHUTDOWN` must drain every admitted
 //! request before the server exits.
 //!
@@ -119,7 +119,7 @@ fn scores_over_tcp_are_bit_identical_to_direct_predict() {
     pool::clear_threads_override();
 }
 
-/// A full queue with a throttled batcher rejects with `OVERLOADED`
+/// A full queue with a throttled batcher rejects with `ServeError::Overloaded`
 /// (and counts it) instead of erroring or hanging.
 #[test]
 fn full_queue_returns_overloaded() {
@@ -445,7 +445,6 @@ fn pipelined_connection_completes_out_of_order() {
     .expect("server start");
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
-    assert!(client.negotiated_version() >= 3);
 
     let ids: Vec<u64> = (0..N)
         .map(|i| {
@@ -482,7 +481,7 @@ fn pipelined_connection_completes_out_of_order() {
 }
 
 /// Overload and drain are per shard: each shard sheds its own
-/// overflow (counted in the v3 per-shard stats), every submission gets
+/// overflow (counted in the per-shard stats), every submission gets
 /// exactly one completion, and a SHUTDOWN still answers every admitted
 /// request on every shard.
 #[test]
@@ -550,7 +549,7 @@ fn overload_and_drain_are_per_shard() {
     // The server's per-shard counters agree with what the client saw.
     let mut admin = Client::connect(addr).expect("admin connect");
     let (snapshot, _, shards) = admin.stats_report().expect("stats");
-    let shards = shards.expect("v3 stats carry per-shard counters");
+    let shards = shards.expect("stats carry per-shard counters");
     assert_eq!(shards.len(), SHARDS);
     for s in 0..SHARDS {
         assert_eq!(

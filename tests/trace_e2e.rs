@@ -10,8 +10,9 @@
 //!   within the log-bucket error bound `2^(1/4)`;
 //! - scores must stay **bit-identical** with tracing on at any sample
 //!   rate — telemetry may never perturb the model;
-//! - a protocol-v1 client (hand-rolled frames, no trace id, no
-//!   windowed stats) must interoperate with the v2 server.
+//! - a hand-rolled client pins the one wire version byte for byte:
+//!   other versions are refused at the hello, and the SCORE,
+//!   STATS_REPLY, ERROR and OK frames keep their documented layout.
 //!
 //! The trace ring, its enable gate and the sample rate are process
 //! globals, so every test that touches them runs under one mutex.
@@ -29,7 +30,7 @@ use adv_hsc_moe::moe::{MoeConfig, MoeModel};
 use adv_hsc_moe::obs::json::{parse, Value};
 use adv_hsc_moe::obs::registry::SUB_BUCKETS;
 use adv_hsc_moe::obs::{trace, WindowedHistogram};
-use adv_hsc_moe::serve::{Client, FeatureRow, QuantileSummary, ServeConfig, Server};
+use adv_hsc_moe::serve::{protocol, Client, FeatureRow, QuantileSummary, ServeConfig, Server};
 use amoe_bench::obs_check::validate_chrome_trace;
 
 /// Serialises tests that mutate the global trace state (enable gate,
@@ -99,7 +100,6 @@ fn traced_request_emits_full_stage_chain() {
     let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
         .expect("server start");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert!(client.negotiated_version() >= 2, "expected protocol v2");
 
     let rows = feature_rows(&d, 0..8);
     for _ in 0..6 {
@@ -167,8 +167,8 @@ fn traced_request_emits_full_stage_chain() {
 
     // Windowed stats are live on the same connection: every score
     // request of THIS server landed in the always-on windows.
-    let (snapshot, window) = client.stats_full().expect("stats");
-    let w = window.expect("v2 stats must carry the windowed block");
+    let (snapshot, window, _) = client.stats_report().expect("stats");
+    let w = window.expect("stats must carry the windowed block");
     assert_eq!(snapshot.ok, 7);
     assert_eq!(w.request_latency_us.count, 7);
     assert_eq!(w.queue_wait_us.count, 7);
@@ -277,12 +277,18 @@ fn scores_bit_identical_with_tracing_on_at_any_sample_rate() {
     trace::reset();
 }
 
-/// A protocol-v1 client — hand-rolled hello and frames, no trace ids,
-/// no windowed stats — interoperates with the v2 server: negotiation
-/// answers version 1, scores are bit-identical, and the STATS reply is
-/// the exact v1 body with no trailing windowed block.
+/// A hand-rolled client pins the one wire version byte for byte,
+/// independently of the crate's codec: hellos offering another version
+/// get the server's hello and then EOF; a SCORE frame (with its
+/// trace-id field) scores bit-identically to direct predict; the
+/// STATS_REPLY always carries counters, window and shard blocks; an
+/// overflowing SCORE header is answered with ERROR without hurting the
+/// connection; and SHUTDOWN gets OK.
 #[test]
-fn v1_client_interoperates_with_v2_server() {
+fn raw_wire_client_pins_the_protocol_layout() {
+    const WIRE_VERSION: u32 = 4;
+    const SHARDS: usize = 2;
+    assert_eq!(protocol::VERSION, WIRE_VERSION);
     let _guard = TRACE_STATE.lock().unwrap_or_else(|e| e.into_inner());
 
     let (d, model) = trained_model(903, 8);
@@ -296,21 +302,39 @@ fn v1_client_interoperates_with_v2_server() {
         d.meta.clone(),
         ServeConfig {
             max_wait: Duration::from_millis(1),
+            shards: SHARDS,
             ..ServeConfig::default()
         },
     )
     .expect("server start");
+    let connect = |offer: u32| {
+        let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(b"AMSV").expect("hello magic");
+        s.write_all(&offer.to_le_bytes()).expect("hello version");
+        let mut hello = [0u8; 8];
+        s.read_exact(&mut hello).expect("hello reply");
+        assert_eq!(&hello[..4], b"AMSV");
+        assert_eq!(
+            u32::from_le_bytes(hello[4..8].try_into().unwrap()),
+            WIRE_VERSION,
+            "the server answers every hello with its own version"
+        );
+        s
+    };
 
-    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+    // Any other offered version: the server's hello, then EOF.
+    for offer in [1, WIRE_VERSION + 1] {
+        let mut s = connect(offer);
+        let mut rest = [0u8; 1];
+        assert_eq!(
+            s.read(&mut rest).expect("clean close"),
+            0,
+            "a v{offer} hello must be refused"
+        );
+    }
 
-    // v1 hello: magic + version 1. The server must answer version 1.
-    s.write_all(b"AMSV").expect("hello magic");
-    s.write_all(&1u32.to_le_bytes()).expect("hello version");
-    let mut hello = [0u8; 8];
-    s.read_exact(&mut hello).expect("hello reply");
-    assert_eq!(&hello[..4], b"AMSV");
-    assert_eq!(u32::from_le_bytes(hello[4..8].try_into().unwrap()), 1);
-
+    let mut s = connect(WIRE_VERSION);
     let write_frame = |s: &mut TcpStream, payload: &[u8]| {
         s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
         s.write_all(payload).unwrap();
@@ -322,60 +346,86 @@ fn v1_client_interoperates_with_v2_server() {
         s.read_exact(&mut payload).unwrap();
         payload
     };
-
-    // v1 SCORE frame: tag 0x01, request id, row count, numeric width,
-    // then 7 ids + numerics per row. No trace id anywhere.
-    let mut req = vec![0x01u8];
-    req.extend_from_slice(&7u64.to_le_bytes());
-    req.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    req.extend_from_slice(&(rows[0].numeric.len() as u32).to_le_bytes());
-    for r in &rows {
-        for id in [
-            r.sc,
-            r.tc,
-            r.brand,
-            r.shop,
-            r.user_segment,
-            r.price_bucket,
-            r.query,
-        ] {
-            req.extend_from_slice(&id.to_le_bytes());
+    // SCORE: tag 0x01, request id, trace id, row count, numeric width,
+    // then 7 ids + numerics per row.
+    let score_frame = |request_id: u64, trace_id: u64| {
+        let mut req = vec![0x01u8];
+        req.extend_from_slice(&request_id.to_le_bytes());
+        req.extend_from_slice(&trace_id.to_le_bytes());
+        req.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+        req.extend_from_slice(&(rows[0].numeric.len() as u32).to_le_bytes());
+        for r in &rows {
+            for id in [
+                r.sc,
+                r.tc,
+                r.brand,
+                r.shop,
+                r.user_segment,
+                r.price_bucket,
+                r.query,
+            ] {
+                req.extend_from_slice(&id.to_le_bytes());
+            }
+            for &v in &r.numeric {
+                req.extend_from_slice(&v.to_le_bytes());
+            }
         }
-        for &v in &r.numeric {
-            req.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    write_frame(&mut s, &req);
-    let reply = read_frame(&mut s);
-    assert_eq!(reply[0], 0x81, "expected SCORES tag");
-    assert_eq!(u64::from_le_bytes(reply[1..9].try_into().unwrap()), 7);
-    let n = u32::from_le_bytes(reply[9..13].try_into().unwrap()) as usize;
-    assert_eq!(n, rows.len());
-    let scores: Vec<f32> = reply[13..]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(
-        scores, expected,
-        "v1 client scores diverged from direct predict"
-    );
+        req
+    };
+    // SCORES: tag 0x81, request id, score count, f32 scores.
+    let check_scores = |reply: &[u8], request_id: u64| {
+        assert_eq!(reply[0], 0x81, "expected SCORES tag");
+        assert_eq!(
+            u64::from_le_bytes(reply[1..9].try_into().unwrap()),
+            request_id
+        );
+        let n = u32::from_le_bytes(reply[9..13].try_into().unwrap()) as usize;
+        assert_eq!(n, rows.len());
+        assert_eq!(reply.len(), 13 + 4 * n);
+        let scores: Vec<f32> = reply[13..]
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(
+            scores, expected,
+            "raw-wire scores diverged from direct predict"
+        );
+    };
 
-    // v1 STATS: the reply must use the v1 tag and the exact v1 body
-    // length — a trailing windowed block would break old decoders.
+    write_frame(&mut s, &score_frame(7, 0));
+    check_scores(&read_frame(&mut s), 7);
+
+    // STATS: tag 0x04 → STATS_REPLY 0x85 with 8 counters, the window
+    // block (secs + 5 summaries of count/p50/p95/p99) and the shard
+    // block (count + 3×u64 + f64 per shard).
     write_frame(&mut s, &[0x04]);
     let reply = read_frame(&mut s);
-    assert_eq!(reply[0], 0x85, "expected v1 STATS_REPLY tag");
-    assert_eq!(
-        reply.len(),
-        1 + 8 * 8,
-        "v1 STATS reply must carry exactly the 8 v1 counters"
-    );
+    assert_eq!(reply[0], 0x85, "expected STATS_REPLY tag");
+    assert_eq!(reply.len(), 1 + 64 + 8 + 5 * 32 + 4 + 32 * SHARDS);
     let ok = u64::from_le_bytes(reply[1 + 16..1 + 24].try_into().unwrap());
-    assert_eq!(ok, 1, "the v1 score request must be counted");
+    assert_eq!(ok, 1, "the score request must be counted");
+    let at = 1 + 64 + 8 + 5 * 32;
+    let n_shards = u32::from_le_bytes(reply[at..at + 4].try_into().unwrap());
+    assert_eq!(n_shards as usize, SHARDS);
 
-    // v1 SHUTDOWN: tag 0x03, expect OK (0x84).
-    write_frame(&mut s, &[0x03]);
+    // n_rows · (7 + n_numeric) · 4 = 2^31 · 2^33 wraps to 0 unchecked:
+    // the header must be rejected as malformed, not sized from.
+    let mut overflow = vec![0x01u8];
+    overflow.extend_from_slice(&8u64.to_le_bytes());
+    overflow.extend_from_slice(&0u64.to_le_bytes());
+    overflow.extend_from_slice(&(1u32 << 31).to_le_bytes());
+    overflow.extend_from_slice(&((1u32 << 31) - 7).to_le_bytes());
+    write_frame(&mut s, &overflow);
     let reply = read_frame(&mut s);
-    assert_eq!(reply, [0x84], "expected OK reply to shutdown");
+    assert_eq!(reply[0], 0x83, "expected ERROR tag for the overflow frame");
+
+    // The connection survives, and a non-zero trace id rides the same
+    // SCORE tag.
+    write_frame(&mut s, &score_frame(9, 0xABC));
+    check_scores(&read_frame(&mut s), 9);
+
+    // SHUTDOWN: tag 0x03 → OK (0x84).
+    write_frame(&mut s, &[0x03]);
+    assert_eq!(read_frame(&mut s), [0x84], "expected OK reply to shutdown");
     server.join();
 }
