@@ -2,10 +2,13 @@
 //!
 //! Each batcher shard is the single consumer of its own bounded queue
 //! (requests hash to a shard by request id — see
-//! [`crate::server::shard_of`]). A shard blocks for the first queued
-//! request, then keeps admitting more until either `max_batch_rows`
-//! rows are collected or `max_wait` has elapsed since the batch
-//! opened. The collected requests are coalesced with
+//! [`crate::server::shard_of`]). Flushing is work-conserving: a shard
+//! blocks for the first queued request, then takes only what is
+//! *already* queued behind it, up to `max_batch_rows` rows, and
+//! computes at once. An idle shard therefore scores a lone request
+//! immediately, and under load the requests that piled up while the
+//! previous batch ran are coalesced into the next one — no deadline
+//! ever holds a batch open. The collected requests are coalesced with
 //! [`amoe_dataset::Batch::concat`] into **one**
 //! `ServingMoe::predict_many_with_stats` call, and the score vector is
 //! scattered back to each request's reply lane: the writer thread of
@@ -87,18 +90,17 @@ pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
             break;
         };
         note_queue_exit(&first);
-        let deadline = Instant::now() + shared.config.max_wait;
+        let mut rows = first.batch.len();
         let mut pending = vec![first];
-        let mut rows = pending[0].batch.len();
+        // Coalesce what queued up while the previous batch ran; never
+        // wait for more.
         while rows < shared.config.max_batch_rows {
-            match queue.pop_until(deadline) {
-                Some(p) => {
-                    note_queue_exit(&p);
-                    rows += p.batch.len();
-                    pending.push(p);
-                }
-                None => break,
-            }
+            let Some(p) = queue.try_pop() else {
+                break;
+            };
+            note_queue_exit(&p);
+            rows += p.batch.len();
+            pending.push(p);
         }
 
         if let Some(delay) = shared.config.batcher_delay {
@@ -177,7 +179,7 @@ pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
 }
 
 /// Records the `queue_exit` stage for a traced request, at actual pop
-/// time (before coalescing waits blur it).
+/// time.
 fn note_queue_exit(p: &Pending) {
     if p.trace_id != 0 {
         trace::record_instant(p.trace_id, 0, "queue_exit", p.batch.len() as u64);
@@ -192,10 +194,10 @@ fn record_batch_telemetry(
     now: Instant,
     compute: &serving::Stats,
 ) {
-    let mut max_wait_us = 0u64;
+    let mut wait_max_us = 0u64;
     for p in pending {
         let wait_us = now.duration_since(p.enqueued).as_micros() as u64;
-        max_wait_us = max_wait_us.max(wait_us);
+        wait_max_us = wait_max_us.max(wait_us);
         amoe_obs::histogram_record("serve.queue_wait_us", wait_us as f64);
     }
     amoe_obs::histogram_record("serve.batch_rows", rows as f64);
@@ -209,7 +211,7 @@ fn record_batch_telemetry(
             .u64("shard", shard as u64)
             .u64("requests", pending.len() as u64)
             .u64("rows", rows as u64)
-            .u64("queue_wait_us_max", max_wait_us)
+            .u64("queue_wait_us_max", wait_max_us)
             .u64("queue_depth", shared.queues[shard].len() as u64)
             .u64("gate_ns", compute.gate_time.as_nanos() as u64)
             .u64("expert_ns", compute.expert_time.as_nanos() as u64)

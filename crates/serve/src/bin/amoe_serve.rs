@@ -7,12 +7,15 @@
 //!
 //! amoe-serve serve --ckpt FILE --spec FILE [--addr HOST:PORT]
 //!                  [--obs-addr HOST:PORT] [--max-batch-rows N]
-//!                  [--max-wait-us N] [--queue-cap N] [--shards N]
-//!                  [--block-ms N] [--quantized]
+//!                  [--queue-cap N] [--shards N] [--block-ms N]
+//!                  [--quantized]
 //!     Serve the checkpoint over TCP. Prints the bound address on
 //!     stdout, then blocks until a SHUTDOWN request. `--shards` runs
 //!     N batcher shards, each with its own `--queue-cap`-deep
 //!     admission queue (scores are bit-identical at any shard count).
+//!     Batching is work-conserving: an idle shard scores a request at
+//!     once, a busy one coalesces up to `--max-batch-rows` rows that
+//!     queued while its previous batch ran.
 //!     `--quantized` (or `serve_quantized=true` in the spec) serves
 //!     int8 expert weights; see DESIGN.md for the error contract.
 //!     `--obs-addr` starts the HTTP observability listener (GET
@@ -39,6 +42,9 @@
 //!     exposition linter on the response (exit 1 on violations) —
 //!     the CI smoke stage's scrape-correctness gate.
 //! ```
+//!
+//! Every subcommand rejects a `--flag` it does not know, naming it, so
+//! a stale or misspelt option fails instead of being silently ignored.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -52,29 +58,58 @@ use amoe_serve::{
     StatsSnapshot, WindowedStats,
 };
 
+type Run = fn(&[String]) -> Result<(), String>;
+
+/// A subcommand's entry point and the flags it accepts, space-separated;
+/// a trailing `=` marks an option that takes a value.
+fn command(name: &str) -> Option<(Run, &'static str)> {
+    Some(match name {
+        "demo-export" => (demo_export, "--out= --seed= --steps="),
+        "serve" => (
+            serve,
+            "--ckpt= --spec= --addr= --obs-addr= --max-batch-rows= --queue-cap= --shards= \
+             --block-ms= --quantized",
+        ),
+        "stats" => (stats, "--addr= --interval-ms= --watch"),
+        "trace-dump" => (trace_dump, "--addr= --out="),
+        "shutdown" => (shutdown, "--addr="),
+        "scrape" => (scrape, "--obs-addr= --path= --lint"),
+        _ => return None,
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("demo-export") => demo_export(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("trace-dump") => trace_dump(&args[1..]),
-        Some("shutdown") => shutdown(&args[1..]),
-        Some("scrape") => scrape(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: amoe-serve <demo-export|serve|stats|trace-dump|shutdown|scrape> [options]"
-            );
-            return ExitCode::FAILURE;
-        }
+    let Some((run, flags)) = args.first().and_then(|name| command(name)) else {
+        eprintln!(
+            "usage: amoe-serve <demo-export|serve|stats|trace-dump|shutdown|scrape> [options]"
+        );
+        return ExitCode::FAILURE;
     };
-    match result {
+    match check_flags(&args[1..], flags).and_then(|()| run(&args[1..])) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("amoe-serve: {message}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Fails on the first `--flag` not in `flags` (see [`command`]), naming
+/// it. An option's value is skipped; a missing one is reported by [`opt`].
+fn check_flags(args: &[String], flags: &str) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if flags
+            .split_whitespace()
+            .any(|f| f.strip_suffix('=') == Some(a.as_str()))
+        {
+            it.next();
+        } else if a.starts_with("--") && !flags.split_whitespace().any(|f| f == a) {
+            return Err(format!("unknown flag {a}"));
+        }
+    }
+    Ok(())
 }
 
 /// `--key value` option lookup; repeated keys take the last value.
@@ -151,9 +186,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut config = ServeConfig::default();
     if let Some(v) = opt_parse::<usize>(args, "--max-batch-rows")? {
         config.max_batch_rows = v;
-    }
-    if let Some(v) = opt_parse::<u64>(args, "--max-wait-us")? {
-        config.max_wait = Duration::from_micros(v);
     }
     if let Some(v) = opt_parse::<usize>(args, "--queue-cap")? {
         config.queue_cap = v;
@@ -285,4 +317,43 @@ fn shutdown(args: &[String]) -> Result<(), String> {
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     println!("server at {addr} draining");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(name: &str, args: &[&str]) -> Result<(), String> {
+        let (_, flags) = command(name).expect("known subcommand");
+        check_flags(
+            &args.iter().map(ToString::to_string).collect::<Vec<_>>(),
+            flags,
+        )
+    }
+
+    #[test]
+    fn known_flags_pass() {
+        let serve = check("serve", &["--ckpt", "m", "--shards", "2", "--quantized"]);
+        assert_eq!(serve, Ok(()));
+        assert_eq!(check("scrape", &["--obs-addr", "h:1", "--lint"]), Ok(()));
+    }
+
+    #[test]
+    fn removed_max_wait_flag_is_refused() {
+        let err = check("serve", &["--ckpt", "m", "--max-wait-us", "2000"]);
+        assert_eq!(err, Err("unknown flag --max-wait-us".into()));
+    }
+
+    #[test]
+    fn misspelt_flag_is_refused() {
+        assert_eq!(
+            check("serve", &["--shard", "2"]),
+            Err("unknown flag --shard".into())
+        );
+        // One subcommand's switch is unknown to another.
+        assert_eq!(
+            check("stats", &["--lint"]),
+            Err("unknown flag --lint".into())
+        );
+    }
 }

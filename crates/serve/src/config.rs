@@ -26,10 +26,11 @@ pub enum OverloadPolicy {
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Coalesce at most this many feature rows into one model call.
+    /// Batching is work-conserving: an idle shard computes a request
+    /// the moment it arrives, and a busy one coalesces only what
+    /// queued up while its previous batch ran — there is no flush
+    /// deadline to tune.
     pub max_batch_rows: usize,
-    /// After the first request of a batch arrives, wait at most this
-    /// long for more requests before dispatching.
-    pub max_wait: Duration,
     /// Admission queue capacity in *requests* (not rows), **per
     /// batcher shard**.
     pub queue_cap: usize,
@@ -70,7 +71,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch_rows: 256,
-            max_wait: Duration::from_micros(2000),
             queue_cap: 128,
             shards: 1,
             overload: OverloadPolicy::Reject,

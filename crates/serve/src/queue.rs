@@ -12,7 +12,7 @@
 //! `SHUTDOWN` guarantee that no admitted request is dropped.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::config::OverloadPolicy;
@@ -135,44 +135,28 @@ impl<T> RequestQueue<T> {
     /// empty (drain complete), in which case `None` is returned.
     pub fn pop_wait(&self) -> Option<T> {
         let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.observe(st.items.len());
-                drop(st);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
+        while st.items.is_empty() && !st.closed {
             st = self.not_empty.wait(st).unwrap();
         }
+        self.pop_locked(st)
     }
 
-    /// Like [`RequestQueue::pop_wait`] but gives up at `deadline`.
-    /// `None` means either the deadline passed with the queue empty or
-    /// the queue is closed and fully drained.
-    pub fn pop_until(&self, deadline: Instant) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.observe(st.items.len());
-                drop(st);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            // Saturating for the same reason as in `push`: an elapsed
-            // deadline must mean "give up now", never a panic.
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (next, _timeout) = self.not_empty.wait_timeout(st, remaining).unwrap();
-            st = next;
-        }
+    /// Non-blocking pop: the oldest queued item, or `None` when the
+    /// queue is empty right now (open or closed). This is how a batcher
+    /// coalesces exactly what is already waiting, never holding a
+    /// batch open for arrivals.
+    pub fn try_pop(&self) -> Option<T> {
+        self.pop_locked(self.state.lock().unwrap())
+    }
+
+    /// Pops the front item, publishing the new depth before the lock
+    /// drops.
+    fn pop_locked(&self, mut st: MutexGuard<'_, State<T>>) -> Option<T> {
+        let item = st.items.pop_front()?;
+        self.observe(st.items.len());
+        drop(st);
+        self.not_full.notify_one();
+        Some(item)
     }
 
     /// Closes the queue: future pushes fail, pops drain what remains.
@@ -272,8 +256,10 @@ mod tests {
         q.push(2, OverloadPolicy::Reject).unwrap();
         assert_eq!(q.pop_wait(), Some(1));
         q.push(3, OverloadPolicy::Reject).unwrap();
-        assert_eq!(q.pop_until(Instant::now()), Some(2));
+        assert_eq!(q.try_pop(), Some(2));
         assert_eq!(q.pop_wait(), Some(3));
+        // An empty try_pop is not a transition and publishes nothing.
+        assert_eq!(q.try_pop(), None);
         // One observation per transition, each the exact post-op depth.
         assert_eq!(*depths.lock().unwrap(), vec![1, 2, 1, 2, 1, 0]);
         // The final published depth matches reality — the property the
@@ -298,25 +284,30 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_pop_deadline_returns_none_without_panicking() {
+    fn try_pop_on_empty_open_queue_returns_none_without_blocking() {
         let q = RequestQueue::<u32>::new(1);
-        let now = Instant::now();
-        // A deadline in the past and one exactly "now": both must be a
-        // clean empty pop, not an Instant-arithmetic panic.
-        let past = now.checked_sub(Duration::from_millis(50)).unwrap_or(now);
-        assert_eq!(q.pop_until(past), None);
-        assert_eq!(q.pop_until(Instant::now()), None);
+        let t0 = Instant::now();
+        assert_eq!(q.try_pop(), None);
+        // Nothing to wait for: a blocking pop would sit here forever.
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert!(!q.is_closed());
         // Still functional afterwards.
         q.push(7, OverloadPolicy::Reject).unwrap();
-        assert_eq!(q.pop_until(Instant::now()), Some(7));
+        assert_eq!(q.try_pop(), Some(7));
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]
-    fn pop_until_respects_deadline() {
-        let q = RequestQueue::<u32>::new(1);
-        let t0 = Instant::now();
-        let got = q.pop_until(t0 + Duration::from_millis(15));
-        assert_eq!(got, None);
-        assert!(t0.elapsed() >= Duration::from_millis(10));
+    fn try_pop_is_fifo_and_drains_a_closed_queue_to_none() {
+        let q = RequestQueue::new(4);
+        for i in 1..=3 {
+            q.push(i, OverloadPolicy::Reject).unwrap();
+        }
+        assert_eq!(q.try_pop(), Some(1));
+        q.close();
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop(), Some(3));
+        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop_wait(), None);
     }
 }

@@ -60,6 +60,16 @@ step "multi-shard smoke: amoe-serve --shards 2 driven over real TCP"
 cargo build --release --offline -p amoe-serve --bin amoe-serve
 rm -rf target/ci_shard_demo && mkdir -p target/ci_shard_demo
 ./target/release/amoe-serve demo-export --out target/ci_shard_demo >/dev/null
+# A removed or misspelt flag must fail loudly, never be silently
+# dropped (the timeout keeps a regression from hanging CI on a server
+# that started anyway).
+if timeout 30 ./target/release/amoe-serve serve --max-wait-us 1 \
+  --ckpt target/ci_shard_demo/model.amoe --spec target/ci_shard_demo/model.spec \
+  --addr 127.0.0.1:0 >/dev/null 2> target/ci_shard_demo/flag_err.txt; then
+  echo "FAIL: amoe-serve serve accepted the removed --max-wait-us flag" >&2; exit 1
+fi
+grep -q "unknown flag --max-wait-us" target/ci_shard_demo/flag_err.txt || {
+  echo "FAIL: amoe-serve did not name the unknown --max-wait-us flag" >&2; exit 1; }
 ./target/release/amoe-serve serve \
   --ckpt target/ci_shard_demo/model.amoe --spec target/ci_shard_demo/model.spec \
   --addr 127.0.0.1:0 --shards 2 --obs-addr 127.0.0.1:0 \

@@ -20,6 +20,7 @@ use adv_hsc_moe::moe::serving::ServingMoe;
 use adv_hsc_moe::moe::{MoeConfig, MoeModel};
 use adv_hsc_moe::serve::{
     shard_of, Client, FeatureRow, ModelSpec, OverloadPolicy, ServeConfig, ServeError, Server,
+    StatsSnapshot,
 };
 use adv_hsc_moe::tensor::pool;
 
@@ -58,6 +59,30 @@ fn feature_rows(d: &Dataset, range: std::ops::Range<usize>) -> Vec<FeatureRow> {
         .collect()
 }
 
+/// Per-batch throttle for the coalescing tests. Batching is
+/// work-conserving, so concurrent requests only share a batch when they
+/// queue up behind one that is still computing: while the first batch
+/// sleeps this long, the other clients' requests arrive and are
+/// coalesced into the next.
+const COALESCE_DELAY: Duration = Duration::from_millis(50);
+
+/// Asserts that the server scored `requests` requests in fewer batches,
+/// i.e. at least one batch coalesced several requests, and returns the
+/// stats snapshot.
+fn assert_some_batch_coalesced(admin: &mut Client, requests: usize, ctx: &str) -> StatsSnapshot {
+    let (stats, _, shards) = admin.stats_report().expect("stats");
+    let batches: u64 = shards
+        .expect("stats carry per-shard counters")
+        .iter()
+        .map(|s| s.batches)
+        .sum();
+    assert!(
+        batches < requests as u64,
+        "{ctx}: {requests} requests took {batches} batches, so none coalesced"
+    );
+    stats
+}
+
 /// Batched serving over TCP returns exactly the scores the model
 /// produces in-process — bitwise, for every pool width, even though
 /// concurrent requests are coalesced into shared micro-batches.
@@ -81,8 +106,7 @@ fn scores_over_tcp_are_bit_identical_to_direct_predict() {
             model,
             d.meta.clone(),
             ServeConfig {
-                // Generous window so concurrent requests coalesce.
-                max_wait: Duration::from_millis(20),
+                batcher_delay: Some(COALESCE_DELAY),
                 ..ServeConfig::default()
             },
         )
@@ -110,7 +134,8 @@ fn scores_over_tcp_are_bit_identical_to_direct_predict() {
             );
         }
         let mut admin = Client::connect(addr).expect("admin connect");
-        let stats = admin.stats().expect("stats");
+        let ctx = format!("threads={threads}");
+        let stats = assert_some_batch_coalesced(&mut admin, spans.len(), &ctx);
         assert_eq!(stats.ok, spans.len() as u64, "threads={threads}");
         assert_eq!(stats.errors, 0, "threads={threads}");
         admin.shutdown().expect("shutdown");
@@ -354,7 +379,7 @@ fn sharded_scores_are_bit_identical_across_shard_and_thread_counts() {
                 d.meta.clone(),
                 ServeConfig {
                     shards,
-                    max_wait: Duration::from_millis(20),
+                    batcher_delay: Some(COALESCE_DELAY),
                     ..ServeConfig::default()
                 },
             )
@@ -381,7 +406,11 @@ fn sharded_scores_are_bit_identical_across_shard_and_thread_counts() {
                 );
             }
             let mut admin = Client::connect(addr).expect("admin connect");
-            let stats = admin.stats().expect("stats");
+            let stats = assert_some_batch_coalesced(
+                &mut admin,
+                spans.len(),
+                &format!("threads={threads} shards={shards}"),
+            );
             assert_eq!(
                 stats.ok,
                 spans.len() as u64,

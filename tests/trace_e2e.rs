@@ -301,7 +301,6 @@ fn raw_wire_client_pins_the_protocol_layout() {
         model,
         d.meta.clone(),
         ServeConfig {
-            max_wait: Duration::from_millis(1),
             shards: SHARDS,
             ..ServeConfig::default()
         },
